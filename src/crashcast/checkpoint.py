@@ -46,6 +46,8 @@ def _unpack_config(blob, offset):
         cams = []
         for _ in range(n_cams):
             (ci,) = struct.unpack_from("<B", blob, offset)
+            if ci >= len(CAMERA_ORDER):
+                raise CheckpointFormatError(f"unknown camera index {ci}", offset)
             offset += 1
             cams.append(CAMERA_ORDER[ci])
         rows, cols, channels, seq_len = struct.unpack_from("<HHHH", blob, offset)
@@ -62,8 +64,10 @@ def _unpack_config(blob, offset):
             returns.append(bool(r))
         lstm_units, merge_units = struct.unpack_from("<HH", blob, offset)
         offset += 4
-    except (struct.error, IndexError):
+    except struct.error:
         raise CheckpointFormatError("truncated network-config block", start) from None
+    if mode_idx >= len(INPUT_MODES):
+        raise CheckpointFormatError(f"unknown input-mode index {mode_idx}", start)
     config = NetworkConfig(
         input_mode=INPUT_MODES[mode_idx], cameras=tuple(cams),
         image_rows=rows, image_cols=cols, image_channels=channels, seq_len=seq_len,

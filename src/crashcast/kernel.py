@@ -2,7 +2,8 @@
 
 Tensors are float64 C-order numpy arrays with a fixed dimension order of
 rows x cols x channels (x filters for convolution kernels).  Every function
-here is pure: inputs are never mutated and outputs are fresh arrays.
+here is pure: inputs are never mutated and outputs are fresh arrays, except
+where sigmoid is given an `out` array.
 
 conv2d accumulates in a fixed (kernel-row, kernel-col, in-channel) order so
 that its output is bit-identical to a naive quadruple-loop convolution that
@@ -49,15 +50,23 @@ def conv2d(x, kernel, stride=1):
     return out
 
 
-def sigmoid(x):
-    """Numerically stable logistic function."""
+def sigmoid(x, out=None):
+    """Numerically stable logistic function, optionally written into `out`.
+
+    With e = exp(-|x|) this is where(x >= 0, 1, e) / (1 + e): 1 / (1 + exp(-x))
+    for x >= 0 and exp(x) / (1 + exp(x)) below, bit for bit, with no boolean
+    mask. The numerator is formed as exp(min(x, 0)), which equals
+    where(x >= 0, 1, e) exactly and is cheaper than a select. `out` may be x
+    itself.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    den = np.copysign(x, -1.0, out=np.empty_like(x))  # -|x|
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(num, out=num)
+    num /= den
+    return num
 
 
 def pointwise(op_kind, x):

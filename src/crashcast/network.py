@@ -17,10 +17,14 @@ where * is a same-padded convolution, . is elementwise, and the output
 gate peeks at the NEW cell state. Dropout masks multiply weight tensors
 elementwise and are held fixed across all time steps of one pass.
 
-Convolutions run as im2col + matmul so that batched training is fast;
-the test suite checks each step against a straight-line transcription of
-the gate equations built from the exact-order kernel ops, and all
-gradients against central finite differences.
+The ConvLSTM layers run on one channels-first core (see the section
+comment below): convolutions are im2col + matmul, and the input-to-gate
+term of a layer is computed for the whole sequence in one matrix product.
+Training, evaluation and the single-sample wrappers all go through it; the
+parameters and the branch outputs keep their channels-last layout. The test
+suite checks each step against a straight-line transcription of the gate
+equations built from the exact-order kernel ops, and all gradients against
+central finite differences.
 """
 
 import math
@@ -302,38 +306,78 @@ def init_params(config, seed=0):
     return NetworkParams(branches, lstm, head)
 
 
-# --- fast batched convolution ----------------------------------------------
+# --- channels-first ConvLSTM core ------------------------------------------
+#
+# Inside the core every tensor is channels-first: a layer's input sequence is
+# (c, L, B, H, W), its hidden states (p, L+1, B, q'+2a, r'+2b), stored with the
+# zero border its own recurrent convolution reads (a, b = m//2, n//2), its cell
+# states (p, L+1, B, q'r') and its gates (4, p, L, B, q'r'), gate-major. Index 0
+# of the state axis is the initial state. Each channel of one step is a run of
+# B*q'*r' contiguous doubles, so the gate arithmetic works on long unit-stride
+# slabs, and each convolution is one GEMM of the stacked gate kernels against
+# an im2col matrix whose columns are (time, batch, row, col) positions. The
+# input term W_x*X(t) + b does not depend on the recurrence, so it is one GEMM
+# over all L*B frames of a layer, and its weight and bias gradients one GEMM
+# over the stacked dz of all steps. The recurrent term is one GEMM per step.
 
-def _conv_forward(x, w2d, m, n, stride):
-    """Same-padded conv of x (B,H,W,C) with stacked kernels w2d (m*n*C, P)."""
-    b, h, w, c = x.shape
-    oh = -(-h // stride)
-    ow = -(-w // stride)
-    xp = np.pad(x, ((0, 0), (m // 2, m // 2), (n // 2, n // 2), (0, 0)))
-    sb, sh, sw, sc = xp.strides
-    patches = np.lib.stride_tricks.as_strided(
-        xp, (b, oh, ow, m, n, c), (sb, sh * stride, sw * stride, sh, sw, sc))
-    col = np.ascontiguousarray(patches).reshape(b * oh * ow, m * n * c)
-    out = (col @ w2d).reshape(b, oh, ow, -1)
-    return out, col
+def _im2col(xp, m, n, stride, oh, ow, out=None):
+    """Columns of a padded channels-first tensor xp (c, ..., Hp, Wp).
 
-
-def _conv_backward_input(dcol, x_shape, m, n, stride, oh, ow):
-    """Scatter column gradients back onto the (padded, then cropped) input."""
-    b, h, w, c = x_shape
-    d6 = dcol.reshape(b, oh, ow, m, n, c)
-    dxp = np.zeros((b, h + 2 * (m // 2), w + 2 * (n // 2), c))
+    Returns (m*n*c, prod(...)*oh*ow): row (u, v, ch) holds what kernel tap
+    (u, v) of channel ch sees at every output position, matching the
+    (m, n, c, p) kernel layout. `out` is an optional reusable workspace.
+    """
+    shape = (m, n) + xp.shape[:-2] + (oh, ow)
+    col = np.empty(shape) if out is None else out.reshape(shape)
     for u in range(m):
         for v in range(n):
-            dxp[:, u : u + (oh - 1) * stride + 1 : stride,
-                v : v + (ow - 1) * stride + 1 : stride, :] += d6[:, :, :, u, v, :]
-    return dxp[:, m // 2 : m // 2 + h, n // 2 : n // 2 + w, :]
+            col[u, v] = xp[..., u : u + (oh - 1) * stride + 1 : stride,
+                           v : v + (ow - 1) * stride + 1 : stride]
+    return col.reshape(m * n * xp.shape[0], -1)
+
+
+def _col2im(dcol, dxp, m, n, stride, oh, ow):
+    """Adjoint of _im2col: adds column gradients onto the padded tensor dxp."""
+    d = dcol.reshape((m, n) + dxp.shape[:-2] + (oh, ow))
+    for u in range(m):
+        for v in range(n):
+            dxp[..., u : u + (oh - 1) * stride + 1 : stride,
+                v : v + (ow - 1) * stride + 1 : stride] += d[u, v]
+    return dxp
+
+
+def _repad(x, pad, want):
+    """Re-borders a channels-first tensor padded by `pad` to `want` (a copy unless equal)."""
+    if pad == want:
+        return x
+    (ph, pw), (qh, qw) = pad, want
+    inner = x[..., ph : x.shape[-2] - ph, pw : x.shape[-1] - pw]
+    return np.pad(inner, ((0, 0),) * (x.ndim - 2) + ((qh, qh), (qw, qw)))
+
+
+def _kernel_pad(layer):
+    m, n = layer.w_xi.shape[:2]
+    return m // 2, n // 2
+
+
+def _channels_last(x):
+    """(p, B, q, r) -> contiguous (B, q, r, p)."""
+    return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
 
 
 def _stack_gate_kernels(layer, prefix):
     ws = [getattr(layer, f"{prefix}{g}") for g in GATES]
     m, n, c, p = ws[0].shape
     return np.concatenate(ws, axis=3).reshape(m * n * c, 4 * p)
+
+
+def _peepholes(layer):
+    """Peepholes (q', r', p) as channels-first (p, 1, q'r') broadcast operands."""
+    out = []
+    for g in ("i", "f", "o"):
+        w = getattr(layer, f"w_c{g}")
+        out.append(np.ascontiguousarray(w.transpose(2, 0, 1)).reshape(w.shape[2], 1, -1))
+    return out
 
 
 def _masked_layer(layer, masks):
@@ -345,77 +389,202 @@ def _masked_layer(layer, masks):
     return replace(layer, **updates)
 
 
-# --- ConvLSTM step / sequence ------------------------------------------------
+@dataclass
+class _LayerRun:
+    """One layer's pass over a sequence, holding what its backward needs."""
 
-def _convlstm_step_batch(layer, x, h_prev, c_prev, cache=None):
-    """One gate-equation step on batched tensors (B, ., ., .)."""
-    p = layer.filters
-    m, n = layer.w_xi.shape[:2]
-    wx2d = _stack_gate_kernels(layer, "w_x")
-    wh2d = _stack_gate_kernels(layer, "w_h")
-    zx, col_x = _conv_forward(x, wx2d, m, n, layer.stride)
-    zh, col_h = _conv_forward(h_prev, wh2d, m, n, 1)
-    z = zx + zh
-    gi = sigmoid(z[..., 0 * p : 1 * p] + layer.w_ci * c_prev + layer.b_i)
-    gf = sigmoid(z[..., 1 * p : 2 * p] + layer.w_cf * c_prev + layer.b_f)
-    gc = np.tanh(z[..., 2 * p : 3 * p] + layer.b_c)
-    c_new = gf * c_prev + gi * gc
-    go = sigmoid(z[..., 3 * p : 4 * p] + layer.w_co * c_new + layer.b_o)
-    h_new = go * np.tanh(c_new)
-    if cache is not None:
-        cache.append((col_x, col_h, x.shape, h_prev.shape, gi, gf, gc, go, c_prev, c_new))
-    return h_new, c_new
+    layer: ConvLstmLayer
+    wx: np.ndarray      # stacked input kernels and biases (m*n*c + 1, 4p)
+    wh: np.ndarray      # stacked recurrent kernels (m*n*p, 4p)
+    in_shape: tuple     # padded input (c, L, B, H+2a, W+2b)
+    col_x: np.ndarray   # input columns and a row of ones (m*n*c + 1, L*B*q'*r'), kept for a backward
+    gates: np.ndarray   # (4, p, L, B, q'r') activations; dz once backward ran
+    hs: np.ndarray      # (p, L+1, B, q'+2a, r'+2b) padded hidden states
+    cs: np.ndarray      # (p, L+1, B, q'r') cell states
+
+    @property
+    def out_dims(self):
+        a, b = _kernel_pad(self.layer)
+        return self.hs.shape[3] - 2 * a, self.hs.shape[4] - 2 * b
+
+    def hidden(self, t):
+        """Hidden state t as a (p, B, q', r') view."""
+        a, b = _kernel_pad(self.layer)
+        q, r = self.out_dims
+        return self.hs[:, t, :, a : a + q, b : b + r]
+
+    def cell(self, t):
+        p, _, batch, _ = self.cs.shape
+        return self.cs[:, t].reshape(p, batch, *self.out_dims)
 
 
-def _convlstm_step_backward(layer, step_cache, dh, dc_in, grads, prefix):
-    """Backprop one step; returns (dx, dh_prev, dc_prev) and accumulates grads."""
-    col_x, col_h, x_shape, h_shape, gi, gf, gc, go, c_prev, c_new = step_cache
-    p = layer.filters
-    m, n = layer.w_xi.shape[:2]
-    tanh_c = np.tanh(c_new)
-    d_go = dh * tanh_c
-    dz_o = d_go * go * (1.0 - go)
-    dc = dh * go * (1.0 - tanh_c * tanh_c) + dc_in + dz_o * layer.w_co
-    d_gc = dc * gi
-    dz_c = d_gc * (1.0 - gc * gc)
-    d_gi = dc * gc
-    dz_i = d_gi * gi * (1.0 - gi)
-    d_gf = dc * c_prev
-    dz_f = d_gf * gf * (1.0 - gf)
-    dc_prev = dc * gf + dz_i * layer.w_ci + dz_f * layer.w_cf
+# The step loops below run every elementwise operation in place on
+# preallocated (p, B, q'r') work arrays: at training batch sizes a fresh
+# temporary per operation costs more than the arithmetic. Each group of
+# calls is annotated with the expression it evaluates.
 
-    grads[f"{prefix}.w_co"] += (dz_o * c_new).sum(axis=0)
-    grads[f"{prefix}.w_ci"] += (dz_i * c_prev).sum(axis=0)
-    grads[f"{prefix}.w_cf"] += (dz_f * c_prev).sum(axis=0)
-    for g, dz in (("i", dz_i), ("f", dz_f), ("c", dz_c), ("o", dz_o)):
-        grads[f"{prefix}.b_{g}"] += dz.sum(axis=(0, 1, 2))
+def _layer_forward(layer, xp, h0=None, c0=None, hook=None, keep_cols=False):
+    """Runs one ConvLSTM layer over a padded channels-first sequence.
 
-    dz = np.concatenate([dz_i, dz_f, dz_c, dz_o], axis=3)
-    b, oh, ow = dz.shape[:3]
-    dz2d = dz.reshape(b * oh * ow, 4 * p)
+    xp: (c, L, B, H+2a, W+2b) with a, b = m//2, n//2; h0, c0: optional
+    (p, B, q', r') initial states, zero when omitted. hook(t), when given,
+    is called before step t. keep_cols keeps the input columns for a backward.
+    """
+    m, n, _, p = layer.w_xi.shape
+    a, b = m // 2, n // 2
+    _, length, batch, hp, wp = xp.shape
+    s = layer.stride
+    q, r = -(-(hp - 2 * a) // s), -(-(wp - 2 * b) // s)
+    # the biases ride in the input GEMM as one more kernel row against a row of ones
+    wx = np.vstack([_stack_gate_kernels(layer, "w_x"),
+                    np.concatenate([getattr(layer, f"b_{g}") for g in GATES])])
+    wh = _stack_gate_kernels(layer, "w_h")
+    col_x = np.empty((m * n * xp.shape[0] + 1, length * batch * q * r))
+    _im2col(xp, m, n, s, q, r, col_x[:-1])
+    col_x[-1] = 1.0
+    gates = (wx.T @ col_x).reshape(4, p, length, batch, q * r)
+    if not keep_cols:
+        col_x = None
+    hs = np.zeros((p, length + 1, batch, q + 2 * a, r + 2 * b))
+    cs = np.empty((p, length + 1, batch, q * r))
+    cs[:, 0] = 0.0 if c0 is None else c0.reshape(p, batch, q * r)
+    if h0 is not None:
+        hs[:, 0, :, a : a + q, b : b + r] = h0
+    w_ci, w_cf, w_co = _peepholes(layer)
+    w_cif = np.stack([w_ci, w_cf])
+    col_h = np.empty((m * n * p, batch * q * r))
+    zh = np.empty((4 * p, batch * q * r))
+    tmp = np.empty((2, p, batch, q * r))
+    mul, add = np.multiply, np.add
+    for t in range(length):
+        if hook is not None:
+            hook(t)
+        z = gates[:, :, t]
+        if t > 0 or h0 is not None:  # W_h * H(t-1) vanishes on a zero initial state
+            np.matmul(wh.T, _im2col(hs[:, t], m, n, 1, q, r, col_h), out=zh)
+            z += zh.reshape(z.shape)
+        gif, gi, gf, gc, go = z[:2], *z
+        c_prev, c_new = cs[:, t], cs[:, t + 1]
+        mul(w_cif, c_prev, out=tmp)
+        add(gif, tmp, out=gif)
+        sigmoid(gif, out=gif)                      # i, f = sigmoid(z + w_c . c_prev)
+        np.tanh(gc, out=gc)                        # g = tanh(z_c)
+        mul(gf, c_prev, out=c_new)
+        mul(gi, gc, out=tmp[0])
+        add(c_new, tmp[0], out=c_new)              # c_new = f . c_prev + i . g
+        mul(w_co, c_new, out=tmp[0])
+        add(go, tmp[0], out=go)
+        sigmoid(go, out=go)                        # o = sigmoid(z_o + w_co . c_new)
+        np.tanh(c_new, out=tmp[0])
+        mul(go.reshape(p, batch, q, r), tmp[0].reshape(p, batch, q, r),
+            out=hs[:, t + 1, :, a : a + q, b : b + r])   # h = o . tanh(c_new)
+    return _LayerRun(layer, wx, wh, xp.shape, col_x, gates, hs, cs)
 
-    dwx = col_x.T @ dz2d
-    dwh = col_h.T @ dz2d
-    c_in = x_shape[3]
-    dwx4 = dwx.reshape(m, n, c_in, 4 * p)
-    dwh4 = dwh.reshape(m, n, p, 4 * p)
+
+def _layer_backward(run, dh_out, grads, prefix, need_dx):
+    """BPTT through one layer run, accumulating its parameter gradients.
+
+    dh_out: (p, L', B, q', r') gradient w.r.t. the layer's last L' hidden
+    states (L' = L when it returns sequences, else 1). Returns the gradient
+    w.r.t. its unpadded input (c, L, B, H, W), or None unless need_dx.
+    The run's gate buffer is overwritten with dz.
+    """
+    layer = run.layer
+    m, n, c_in, p = layer.w_xi.shape
+    a, b = m // 2, n // 2
+    length, batch = run.cs.shape[1] - 1, run.cs.shape[2]
+    q, r = run.out_dims
+    w_ci, w_cf, w_co = _peepholes(layer)
+    gates = run.gates
+    col_h = np.empty((m * n * p, batch * q * r))
+    dcol_h = np.empty((m * n * p, batch * q * r))
+    dwh = np.zeros((m * n * p, 4 * p))
+    dhp = np.empty((p, batch, q + 2 * a, r + 2 * b))
+    dh, dc, dc_new, tanh_c, w1, w2 = (np.empty((p, batch, q * r)) for _ in range(6))
+    dc.fill(0.0)
+    dh4 = dh.reshape(p, batch, q, r)
+    mul, add, sub = np.multiply, np.add, np.subtract
+    lag = length - dh_out.shape[1]
+    h0_nonzero = bool(run.hs[:, 0].any())
+    for t in range(length - 1, -1, -1):
+        if t == length - 1:
+            dh4[...] = dh_out[:, t - lag]
+        elif t >= lag:
+            add(dhp[..., a : a + q, b : b + r], dh_out[:, t - lag], out=dh4)
+        else:
+            dh4[...] = dhp[..., a : a + q, b : b + r]
+        gi, gf, gc, go = gates[:, :, t]
+        c_prev = run.cs[:, t]
+        np.tanh(run.cs[:, t + 1], out=tanh_c)
+        mul(dh, go, out=dc_new)
+        mul(tanh_c, tanh_c, out=w2)
+        sub(1.0, w2, out=w2)
+        mul(dc_new, w2, out=dc_new)                # dh . o . (1 - tanh(c)^2)
+        mul(dh, tanh_c, out=w1)
+        mul(w1, go, out=w1)
+        sub(1.0, go, out=w2)
+        mul(w1, w2, out=go)                        # dz_o = dh . tanh(c) . o . (1 - o)
+        add(dc_new, dc, out=dc_new)
+        mul(go, w_co, out=w2)
+        add(dc_new, w2, out=dc_new)                # dc = ... + dc_in + dz_o . w_co
+        mul(dc_new, gf, out=dc)                    # dc_prev = dc . f + ...
+        mul(dc_new, gc, out=w1)
+        mul(w1, gi, out=w1)                        # dc . g . i
+        mul(gc, gc, out=w2)
+        sub(1.0, w2, out=w2)
+        mul(dc_new, gi, out=gc)
+        mul(gc, w2, out=gc)                        # dz_c = dc . i . (1 - g^2)
+        sub(1.0, gi, out=w2)
+        mul(w1, w2, out=gi)                        # dz_i = dc . g . i . (1 - i)
+        mul(dc_new, c_prev, out=w1)
+        mul(w1, gf, out=w1)
+        sub(1.0, gf, out=w2)
+        mul(w1, w2, out=gf)                        # dz_f = dc . c_prev . f . (1 - f)
+        mul(gi, w_ci, out=w2)
+        add(dc, w2, out=dc)
+        mul(gf, w_cf, out=w2)
+        add(dc, w2, out=dc)                        # ... + dz_i . w_ci + dz_f . w_cf
+        dz = gates[:, :, t].reshape(4 * p, batch * q * r)
+        if t > 0 or h0_nonzero:
+            dwh += _im2col(run.hs[:, t], m, n, 1, q, r, col_h) @ dz.T
+        if t > 0:
+            np.matmul(run.wh, dz, out=dcol_h)
+            dhp.fill(0.0)
+            _col2im(dcol_h, dhp, m, n, 1, q, r)
+
+    dz_all = gates.reshape(4 * p, -1)
+    dwx = run.col_x @ dz_all.T
+    db = dwx[-1].reshape(4, p)  # the bias row of the input GEMM
+    dwx = dwx[:-1].reshape(m, n, c_in, 4, p)
+    dwh = dwh.reshape(m, n, p, 4, p)
     for k, g in enumerate(GATES):
-        grads[f"{prefix}.w_x{g}"] += dwx4[..., k * p : (k + 1) * p]
-        grads[f"{prefix}.w_h{g}"] += dwh4[..., k * p : (k + 1) * p]
+        grads[f"{prefix}.b_{g}"] += db[k]
+        grads[f"{prefix}.w_x{g}"] += dwx[:, :, :, k]
+        grads[f"{prefix}.w_h{g}"] += dwh[:, :, :, k]
+    dz_i, dz_f, _, dz_o = gates
+    for g, dzg, cell in (("i", dz_i, run.cs[:, :-1]), ("f", dz_f, run.cs[:, :-1]),
+                         ("o", dz_o, run.cs[:, 1:])):
+        dpeep = np.einsum("plbk,plbk->pk", dzg, cell).reshape(p, q, r)
+        grads[f"{prefix}.w_c{g}"] += dpeep.transpose(1, 2, 0)
+    if not need_dx:
+        return None
+    hp, wp = run.in_shape[3:]
+    dxp = _col2im(run.wx[:-1] @ dz_all, np.zeros(run.in_shape), m, n, layer.stride, q, r)
+    return dxp[..., a : hp - a, b : wp - b]
 
-    wx2d = _stack_gate_kernels(layer, "w_x")
-    wh2d = _stack_gate_kernels(layer, "w_h")
-    dx = _conv_backward_input(dz2d @ wx2d.T, x_shape, m, n, layer.stride, oh, ow)
-    dh_prev = _conv_backward_input(dz2d @ wh2d.T, h_shape, m, n, 1, oh, ow)
-    return dx, dh_prev, dc_prev
+
+def _core_input(x, layer):
+    """Channels-last (B, L, H, W, c) sequence -> padded channels-first (c, L, B, ., .)."""
+    return _repad(x.transpose(4, 1, 0, 2, 3), (0, 0), _kernel_pad(layer))
 
 
 def convlstm_step(layer, x, h_prev, c_prev, masks=None):
     """Single-sample gate-equation step: x (q, r, c_in), h/c (q', r', p)."""
     layer = _masked_layer(layer, masks)
     _check_step_shapes(layer, x, h_prev, c_prev)
-    h, c = _convlstm_step_batch(layer, x[None], h_prev[None], c_prev[None])
-    return h[0], c[0]
+    run = _layer_forward(layer, _core_input(x[None, None], layer),
+                         h_prev.transpose(2, 0, 1)[:, None], c_prev.transpose(2, 0, 1)[:, None])
+    return _channels_last(run.hidden(1))[0], _channels_last(run.cell(1))[0]
 
 
 def _check_step_shapes(layer, x, h_prev, c_prev):
@@ -440,13 +609,10 @@ def convlstm_sequence(layer, xs, masks=None):
     if len(xs) == 0:
         raise ValueError("empty input sequence")
     layer = _masked_layer(layer, masks)
-    h = c = _zero_state(layer, xs[0].shape)
-    _check_step_shapes(layer, xs[0], h, c)
-    outs = []
-    for x in xs:
-        h, c = _convlstm_step_batch(layer, x[None], h[None], c[None])
-        h, c = h[0], c[0]
-        outs.append(h)
+    zero = _zero_state(layer, xs[0].shape)
+    _check_step_shapes(layer, xs[0], zero, zero)
+    run = _layer_forward(layer, _core_input(np.stack(xs)[None], layer))
+    outs = [_channels_last(run.hidden(t))[0] for t in range(1, len(xs) + 1)]
     return outs if layer.return_sequences else outs[-1]
 
 
@@ -583,25 +749,24 @@ def _forward_batch(params, config, images, states, masks=None, cache=None, step_
     """
     feats = []
     for cam in config.cameras:
-        x_seq = images[cam]  # (B, L, q, r, c)
-        b, length = x_seq.shape[:2]
-        h_out = None
-        layer_in = [x_seq[:, t] for t in range(length)]
-        for li, layer in enumerate(params.branches[cam]):
+        layers = params.branches[cam]
+        xp = _core_input(images[cam], layers[0])
+        for li, layer in enumerate(layers):
             eff = _masked_layer(layer, _branch_masks(masks, f"cam.{cam}.l{li}"))
-            h = c = np.zeros((b,) + _zero_state(eff, layer_in[0].shape[1:]).shape)
-            outs = []
-            step_caches = [] if cache is not None else None
-            for t, x in enumerate(layer_in):
-                if step_hook is not None:
-                    step_hook(cam, li, t, eff)
-                h, c = _convlstm_step_batch(eff, x, h, c, step_caches)
-                outs.append(h)
+            hook = None
+            if step_hook is not None:
+                hook = lambda t, cam=cam, li=li, eff=eff: step_hook(cam, li, t, eff)
+            run = _layer_forward(eff, xp, hook=hook, keep_cols=cache is not None)
             if cache is not None:
-                cache["conv"][(cam, li)] = (eff, step_caches)
-            layer_in = outs if layer.return_sequences else [outs[-1]]
-        h_out = layer_in[-1]
-        feats.append(h_out.reshape(b, -1))
+                cache["conv"][(cam, li)] = run
+            # the next layer sees every hidden state, or only the last one
+            out = run.hs[:, 1:] if layer.return_sequences else run.hs[:, -1:]
+            h_last = run.hidden(-1)
+            del run  # without a cache, frees the gates before the next layer runs
+            if li + 1 < len(layers):
+                xp = _repad(out, _kernel_pad(layer), _kernel_pad(layers[li + 1]))
+        h_out = _channels_last(h_last)
+        feats.append(h_out.reshape(h_out.shape[0], -1))
         if cache is not None:
             cache["branch_shape"][cam] = h_out.shape
     if config.has_state_branch:
@@ -703,35 +868,9 @@ def dpm_gradients(params, config, samples, labels, masks=None):
 
 
 def _branch_backward(params, config, cam, cache, d_final, grads):
-    layers = params.branches[cam]
-    n_layers = len(layers)
-    # gradient w.r.t. each layer's output sequence, walked top layer down
-    d_out = {n_layers - 1: {"final": d_final}}
-    for li in range(n_layers - 1, -1, -1):
-        eff, step_caches = cache["conv"][(cam, li)]
-        length = len(step_caches)
-        d_here = d_out.get(li, {})
-        dh = None
-        dc = None
-        dx_list = [None] * length
-        for t in range(length - 1, -1, -1):
-            dh_t = np.zeros(step_caches[t][9].shape)  # shaped like c_new
-            if layers[li].return_sequences and t in d_here:
-                dh_t = dh_t + d_here[t]
-            if not layers[li].return_sequences and t == length - 1 and "final" in d_here:
-                dh_t = dh_t + d_here["final"]
-            if dh is not None:
-                dh_t = dh_t + dh
-            dc_t = dc if dc is not None else np.zeros_like(dh_t)
-            dx, dh, dc = _convlstm_step_backward(eff, step_caches[t], dh_t, dc_t, grads, f"cam.{cam}.l{li}")
-            dx_list[t] = dx
-        if li > 0:
-            below = layers[li - 1]
-            if below.return_sequences:
-                d_out[li - 1] = {t: dx_list[t] for t in range(length)}
-            else:
-                # the layer below emitted one tensor that this layer saw at every t
-                total = dx_list[0]
-                for t in range(1, length):
-                    total = total + dx_list[t]
-                d_out[li - 1] = {"final": total}
+    """Backprop one camera branch from the gradient of its (B, q, r, p) output."""
+    d_out = d_final.transpose(3, 0, 1, 2)[:, None]  # (p, 1, B, q, r)
+    for li in range(len(params.branches[cam]) - 1, -1, -1):
+        run = cache["conv"][(cam, li)]
+        # the first layer's input is the image sequence: its gradient is never used
+        d_out = _layer_backward(run, d_out, grads, f"cam.{cam}.l{li}", need_dx=li > 0)

@@ -156,6 +156,24 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(extra)
 
 
+
+def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
+    config = tiny_config()
+    path = tmp_path / "m.dpmw"
+    save_checkpoint(path, config, init_params(config, seed=3))
+    # the config block opens after magic and version with the input-mode
+    # byte, the camera count and one index byte per camera
+    for offset in (8, 10):
+        blob = bytearray(path.read_bytes())
+        blob[offset] = 7
+        bad = tmp_path / f"bad{offset}.dpmw"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(bad)
+        assert err.value.offset == offset
+        assert run_cli("eval", "--data", str(tmp_path / "unused.dpmd"), "--model", str(bad)) == 2
+        assert f"byte offset {offset}" in capsys.readouterr().err
+
 # --- report I/O ----------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from crashcast.kernel import (
     finite_diff_gradient,
     hadamard,
     pointwise,
+    sigmoid,
     softmax,
 )
 
@@ -117,6 +118,32 @@ def test_sigmoid_symmetry_and_range():
     big = rng.standard_normal((4, 5)) * 1e3
     assert np.allclose(pointwise("sigmoid", big) + pointwise("sigmoid", -big), 1.0, atol=1e-12)
 
+
+
+def sigmoid_masked(x):
+    """The two-branch logistic, selected with boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             36.0, -36.0, 37.0, -37.0, 700.0, -700.0, 745.0, -745.0, 800.0, -800.0,
+             np.inf, -np.inf, np.nan]
+    rng = np.random.default_rng(4)
+    x = np.concatenate([edges, rng.standard_normal(100_000) * 50])
+    nan = np.isnan(x)
+    want = sigmoid_masked(x)
+    for got in (sigmoid(x), sigmoid(x.copy(), out=np.empty_like(x))):
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+        assert np.isnan(got[nan]).all()
+    inplace = x.copy()
+    sigmoid(inplace, out=inplace)
+    assert np.array_equal(inplace[~nan].view(np.int64), want[~nan].view(np.int64))
 
 def test_pointwise_extreme_inputs_stay_finite():
     x = np.array([-1e4, -700.0, 700.0, 1e4])

@@ -227,7 +227,8 @@ def test_lstm_matches_transcription_oracle():
 # --- full network -------------------------------------------------------------
 
 
-def tiny_config(input_mode="images_state_action", cameras=("dashcam",), rows=4, cols=4, seq_len=2):
+def tiny_config(input_mode="images_state_action", cameras=("dashcam",), rows=4, cols=4, seq_len=2,
+                strides=(1, 2)):
     return NetworkConfig(
         input_mode=input_mode,
         cameras=cameras,
@@ -236,7 +237,7 @@ def tiny_config(input_mode="images_state_action", cameras=("dashcam",), rows=4, 
         seq_len=seq_len,
         conv_filters=(2, 2),
         conv_kernels=(3, 3),
-        conv_strides=(1, 2),
+        conv_strides=strides,
         conv_return_sequences=(True, False),
         lstm_units=3,
         merge_units=4,
@@ -281,14 +282,31 @@ def test_forward_is_deterministic_and_normalized():
     assert (p1 > 0).all()
 
 
-def test_forward_batch_matches_single():
-    config = tiny_config()
+# the camera-sweep strides, an odd non-square image (ceil-division output
+# dims at the stride-2 layer) and a two-camera network
+SHAPE_VARIANTS = {
+    "strides_2_1": dict(strides=(2, 1)),
+    "odd_5x7": dict(rows=5, cols=7),
+    "two_cameras": dict(cameras=("left_mirror", "dashcam")),
+}
+
+
+def check_forward_batch_matches_single(config):
     params = init_params(config, seed=4)
     rng = np.random.default_rng(14)
     samples = make_samples(rng, config, 3)
     batch = dpm_forward_batch(params, config, samples)
     for i, s in enumerate(samples):
         assert np.allclose(batch[i], dpm_forward(params, config, s), atol=1e-12)
+
+
+def test_forward_batch_matches_single():
+    check_forward_batch_matches_single(tiny_config())
+
+
+@pytest.mark.parametrize("variant", sorted(SHAPE_VARIANTS))
+def test_forward_batch_matches_single_shapes(variant):
+    check_forward_batch_matches_single(tiny_config(**SHAPE_VARIANTS[variant]))
 
 
 def test_forward_missing_modality_errors():
@@ -365,9 +383,14 @@ def relative_gradient_errors(params, config, samples, labels, eps=1e-4):
     return errs
 
 
-@pytest.mark.parametrize("input_mode", ["images_only", "images_state", "images_state_action"])
-def test_gradients_match_finite_differences(input_mode):
-    config = tiny_config(input_mode=input_mode)
+GRADIENT_CASES = {mode: dict(input_mode=mode)
+                  for mode in ("images_only", "images_state", "images_state_action")}
+GRADIENT_CASES.update(SHAPE_VARIANTS)
+
+
+@pytest.mark.parametrize("case", list(GRADIENT_CASES))
+def test_gradients_match_finite_differences(case):
+    config = tiny_config(**GRADIENT_CASES[case])
     params = init_params(config, seed=9)
     # move away from the symmetric init so no gradient is accidentally zero
     rng = np.random.default_rng(19)
