@@ -68,13 +68,16 @@ def _unpack_config(blob, offset):
         raise CheckpointFormatError("truncated network-config block", start) from None
     if mode_idx >= len(INPUT_MODES):
         raise CheckpointFormatError(f"unknown input-mode index {mode_idx}", start)
-    config = NetworkConfig(
-        input_mode=INPUT_MODES[mode_idx], cameras=tuple(cams),
-        image_rows=rows, image_cols=cols, image_channels=channels, seq_len=seq_len,
-        conv_filters=tuple(filters), conv_kernels=tuple(kernels),
-        conv_strides=tuple(strides), conv_return_sequences=tuple(returns),
-        lstm_units=lstm_units, merge_units=merge_units,
-    )
+    try:
+        config = NetworkConfig(
+            input_mode=INPUT_MODES[mode_idx], cameras=tuple(cams),
+            image_rows=rows, image_cols=cols, image_channels=channels, seq_len=seq_len,
+            conv_filters=tuple(filters), conv_kernels=tuple(kernels),
+            conv_strides=tuple(strides), conv_return_sequences=tuple(returns),
+            lstm_units=lstm_units, merge_units=merge_units,
+        )
+    except ValueError as exc:
+        raise CheckpointFormatError(f"invalid network config: {exc}", start) from None
     return config, offset
 
 
@@ -121,6 +124,7 @@ def load_checkpoint(path):
             f"checkpoint stores {count} tensors, architecture needs {len(expected)}", offset - 4)
     seen = set()
     for _ in range(count):
+        record = offset
         try:
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
@@ -139,7 +143,10 @@ def load_checkpoint(path):
             raise CheckpointFormatError("malformed tensor record", offset) from None
         if name not in expected:
             raise CheckpointFormatError(f"unknown tensor name {name!r}", offset)
-        params.set_tensor(name, values.reshape(dims))
+        try:
+            params.set_tensor(name, values.reshape(dims))
+        except ValueError as exc:
+            raise CheckpointFormatError(str(exc), record) from None
         seen.add(name)
     if seen != expected:
         missing = sorted(expected - seen)

@@ -1,4 +1,4 @@
-"""Minimal dense-array numerics used by the network and its test oracles.
+"""Minimal dense-array numerics: the network's sigmoid and the test oracles.
 
 Tensors are float64 C-order numpy arrays with a fixed dimension order of
 rows x cols x channels (x filters for convolution kernels).  Every function

@@ -17,14 +17,14 @@ where * is a same-padded convolution, . is elementwise, and the output
 gate peeks at the NEW cell state. Dropout masks multiply weight tensors
 elementwise and are held fixed across all time steps of one pass.
 
-The ConvLSTM layers run on one channels-first core (see the section
-comment below): convolutions are im2col + matmul, and the input-to-gate
-term of a layer is computed for the whole sequence in one matrix product.
-Training, evaluation and the single-sample wrappers all go through it; the
-parameters and the branch outputs keep their channels-last layout. The test
-suite checks each step against a straight-line transcription of the gate
-equations built from the exact-order kernel ops, and all gradients against
-central finite differences.
+All layers, the vector LSTM included (as a 1x1 layer), run on one
+channels-first core (see the section comment below): convolutions are
+im2col + matmul, and the input-to-gate term of a layer is computed for the
+whole sequence in one matrix product. Training, evaluation and the
+single-sample wrappers all go through it; the parameters and the branch
+outputs keep their layouts. The test suite checks each step against a
+straight-line transcription of the gate equations built from the
+exact-order kernel ops, and all gradients against central differences.
 """
 
 import math
@@ -87,7 +87,7 @@ class ConvLstmLayer:
 
 @dataclass
 class LstmLayer:
-    """Vector LSTM with the same gate structure (peepholes included)."""
+    """Vector LSTM, the 1x1 ConvLSTM; kernels (u, d) and (u, u), peepholes (u,)."""
 
     w_xi: np.ndarray
     w_hi: np.ndarray
@@ -104,10 +104,6 @@ class LstmLayer:
     b_f: np.ndarray
     b_c: np.ndarray
     b_o: np.ndarray
-
-    @property
-    def units(self):
-        return self.w_xi.shape[0]
 
 
 @dataclass
@@ -134,7 +130,6 @@ class NetworkConfig:
     conv_return_sequences: tuple = (True, False)
     lstm_units: int = 16
     merge_units: int = 32
-    batch_norm: bool = False  # reserved name; not implemented
 
     def __post_init__(self):
         if self.input_mode not in INPUT_MODES:
@@ -146,13 +141,20 @@ class NetworkConfig:
                 raise ValueError(f"unknown camera {cam!r}")
         if self.seq_len < 1:
             raise ValueError("sequence length must be >= 1")
+        if min(self.image_rows, self.image_cols, self.image_channels,
+               self.lstm_units, self.merge_units) < 1:
+            raise ValueError("image dimensions and unit counts must be >= 1")
         n = len(self.conv_filters)
+        if n == 0:
+            raise ValueError("need at least one conv layer")
         if not (len(self.conv_kernels) == len(self.conv_strides) == len(self.conv_return_sequences) == n):
             raise ValueError("per-layer conv hyperparameter tuples must have equal length")
-        if self.conv_return_sequences and self.conv_return_sequences[-1]:
+        if min(self.conv_filters) < 1 or min(self.conv_strides) < 1:
+            raise ValueError("conv filter counts and strides must be >= 1")
+        if any(k < 1 or k % 2 == 0 for k in self.conv_kernels):
+            raise ValueError(f"conv kernels must be odd and >= 1, got {self.conv_kernels}")
+        if self.conv_return_sequences[-1]:
             raise ValueError("final conv layer must return only the last hidden state")
-        if self.batch_norm:
-            raise NotImplementedError("batch normalization is reserved but not implemented")
 
     @property
     def has_state_branch(self):
@@ -196,25 +198,13 @@ class NetworkParams:
     head: DenseHead
 
     def tensors(self):
-        """Live name -> array view of every parameter tensor, in a stable order."""
+        """Live name -> array view of every tensor, in DPMW record and mask-draw order."""
         out = {}
         for cam, layers in self.branches.items():
             for li, layer in enumerate(layers):
-                for g in GATES:
-                    out[f"cam.{cam}.l{li}.w_x{g}"] = getattr(layer, f"w_x{g}")
-                    out[f"cam.{cam}.l{li}.w_h{g}"] = getattr(layer, f"w_h{g}")
-                for g in ("i", "f", "o"):
-                    out[f"cam.{cam}.l{li}.w_c{g}"] = getattr(layer, f"w_c{g}")
-                for g in GATES:
-                    out[f"cam.{cam}.l{li}.b_{g}"] = getattr(layer, f"b_{g}")
+                out.update((f"cam.{cam}.l{li}.{f}", w) for f, w in _layer_tensors(layer).items())
         if self.lstm is not None:
-            for g in GATES:
-                out[f"lstm.w_x{g}"] = getattr(self.lstm, f"w_x{g}")
-                out[f"lstm.w_h{g}"] = getattr(self.lstm, f"w_h{g}")
-            for g in ("i", "f", "o"):
-                out[f"lstm.w_c{g}"] = getattr(self.lstm, f"w_c{g}")
-            for g in GATES:
-                out[f"lstm.b_{g}"] = getattr(self.lstm, f"b_{g}")
+            out.update((f"lstm.{f}", w) for f, w in _layer_tensors(self.lstm).items())
         out["head.w_merge"] = self.head.w_merge
         out["head.b_merge"] = self.head.b_merge
         out["head.w_out"] = self.head.w_out
@@ -228,24 +218,26 @@ class NetworkParams:
         target[...] = value
 
     def copy(self):
-        new_branches = {
-            cam: [replace(l, **{f: getattr(l, f).copy() for f in _CONV_TENSOR_FIELDS})
-                  for l in layers]
-            for cam, layers in self.branches.items()
-        }
-        new_lstm = None
-        if self.lstm is not None:
-            new_lstm = replace(self.lstm, **{f: getattr(self.lstm, f).copy() for f in _LSTM_TENSOR_FIELDS})
+        def copied(layer):
+            return replace(layer, **{f: w.copy() for f, w in _layer_tensors(layer).items()})
+
+        new_branches = {cam: [copied(l) for l in layers] for cam, layers in self.branches.items()}
+        new_lstm = None if self.lstm is None else copied(self.lstm)
         new_head = DenseHead(self.head.w_merge.copy(), self.head.b_merge.copy(),
                              self.head.w_out.copy(), self.head.b_out.copy())
         return NetworkParams(new_branches, new_lstm, new_head)
 
 
 _CONV_TENSOR_FIELDS = tuple(
-    [f"w_x{g}" for g in GATES] + [f"w_h{g}" for g in GATES]
+    [f"w_{k}{g}" for g in GATES for k in "xh"]
     + [f"w_c{g}" for g in ("i", "f", "o")] + [f"b_{g}" for g in GATES]
 )
-_LSTM_TENSOR_FIELDS = _CONV_TENSOR_FIELDS
+
+
+def _layer_tensors(layer):
+    """Field name -> array of one recurrent layer, in record order."""
+    return {f: getattr(layer, f) for f in _CONV_TENSOR_FIELDS}
+
 
 # weight families eligible for dropout masking, by connection kind
 MASKABLE_FAMILIES = {
@@ -625,63 +617,24 @@ def _zero_state(layer, x_shape):
 
 # --- vector LSTM -------------------------------------------------------------
 
-def _lstm_step_batch(layer, x, h_prev, c_prev, cache=None):
-    """One step on (B, d) inputs and (B, u) states."""
-    u = layer.units
-    wx = np.concatenate([getattr(layer, f"w_x{g}") for g in GATES], axis=0)  # (4u, d)
-    wh = np.concatenate([getattr(layer, f"w_h{g}") for g in GATES], axis=0)
-    z = x @ wx.T + h_prev @ wh.T
-    gi = sigmoid(z[:, 0 * u : 1 * u] + layer.w_ci * c_prev + layer.b_i)
-    gf = sigmoid(z[:, 1 * u : 2 * u] + layer.w_cf * c_prev + layer.b_f)
-    gc = np.tanh(z[:, 2 * u : 3 * u] + layer.b_c)
-    c_new = gf * c_prev + gi * gc
-    go = sigmoid(z[:, 3 * u : 4 * u] + layer.w_co * c_new + layer.b_o)
-    h_new = go * np.tanh(c_new)
-    if cache is not None:
-        cache.append((x, h_prev, gi, gf, gc, go, c_prev, c_new))
-    return h_new, c_new
+def _as_1x1(field, w):
+    """A vector-LSTM tensor seen in its 1x1 ConvLSTM shape (a view, not a copy)."""
+    if field.startswith("b_"):
+        return w
+    return w[None, None] if w.ndim == 1 else w.T[None, None]
 
 
-def _lstm_step_backward(layer, step_cache, dh, dc_in, grads, prefix="lstm"):
-    x, h_prev, gi, gf, gc, go, c_prev, c_new = step_cache
-    u = layer.units
-    tanh_c = np.tanh(c_new)
-    d_go = dh * tanh_c
-    dz_o = d_go * go * (1.0 - go)
-    dc = dh * go * (1.0 - tanh_c * tanh_c) + dc_in + dz_o * layer.w_co
-    d_gc = dc * gi
-    dz_c = d_gc * (1.0 - gc * gc)
-    d_gi = dc * gc
-    dz_i = d_gi * gi * (1.0 - gi)
-    d_gf = dc * c_prev
-    dz_f = d_gf * gf * (1.0 - gf)
-    dc_prev = dc * gf + dz_i * layer.w_ci + dz_f * layer.w_cf
-
-    grads[f"{prefix}.w_co"] += (dz_o * c_new).sum(axis=0)
-    grads[f"{prefix}.w_ci"] += (dz_i * c_prev).sum(axis=0)
-    grads[f"{prefix}.w_cf"] += (dz_f * c_prev).sum(axis=0)
-    for g, dz in (("i", dz_i), ("f", dz_f), ("c", dz_c), ("o", dz_o)):
-        grads[f"{prefix}.b_{g}"] += dz.sum(axis=0)
-        grads[f"{prefix}.w_x{g}"] += dz.T @ x
-        grads[f"{prefix}.w_h{g}"] += dz.T @ h_prev
-
-    wx = np.concatenate([getattr(layer, f"w_x{g}") for g in GATES], axis=0)
-    wh = np.concatenate([getattr(layer, f"w_h{g}") for g in GATES], axis=0)
-    dz_all = np.concatenate([dz_i, dz_f, dz_c, dz_o], axis=1)
-    dx = dz_all @ wx
-    dh_prev = dz_all @ wh
-    return dx, dh_prev, dc_prev
+def _as_conv_layer(layer):
+    """The vector LSTM as the 1x1-kernel, 1x1-spatial ConvLstmLayer it is."""
+    return ConvLstmLayer(stride=1, return_sequences=False,
+                         **{f: _as_1x1(f, w) for f, w in _layer_tensors(layer).items()})
 
 
 def lstm_step(layer, x, h_prev, c_prev, masks=None):
     """Single-sample vector LSTM step; x (d,), h/c (u,)."""
-    layer = _masked_layer(layer, masks)
-    if x.ndim != 1 or layer.w_xi.shape[1] != x.shape[0]:
-        raise ValueError(f"input must be ({layer.w_xi.shape[1]},), got {x.shape}")
-    if h_prev.shape != (layer.units,) or c_prev.shape != (layer.units,):
-        raise ValueError("state dimension mismatch")
-    h, c = _lstm_step_batch(layer, x[None], h_prev[None], c_prev[None])
-    return h[0], c[0]
+    layer = _as_conv_layer(_masked_layer(layer, masks))
+    h, c = convlstm_step(layer, x[None, None], h_prev[None, None], c_prev[None, None])
+    return h[0, 0], c[0, 0]
 
 
 # --- full network ------------------------------------------------------------
@@ -773,16 +726,15 @@ def _forward_batch(params, config, images, states, masks=None, cache=None, step_
         if states is None:
             raise ValueError(f"input mode {config.input_mode!r} requires state sequences")
         eff = _masked_layer(params.lstm, _branch_masks(masks, "lstm"))
-        b, length = states.shape[:2]
-        h = c = np.zeros((b, eff.units))
-        step_caches = [] if cache is not None else None
-        for t in range(length):
-            if step_hook is not None:
-                step_hook("state", 0, t, eff)
-            h, c = _lstm_step_batch(eff, states[:, t], h, c, step_caches)
-        feats.append(h)
+        hook = None
+        if step_hook is not None:
+            hook = lambda t: step_hook("state", 0, t, eff)
+        # (B, L, d) -> (d, L, B, 1, 1): one 1x1 layer that returns its last state
+        run = _layer_forward(_as_conv_layer(eff), states.T[..., None, None],
+                             hook=hook, keep_cols=cache is not None)
+        feats.append(run.hidden(-1)[:, :, 0, 0].T)
         if cache is not None:
-            cache["lstm"] = (eff, step_caches)
+            cache["lstm"] = run
     feat = np.concatenate(feats, axis=1)
     if feat.shape[1] != params.head.w_merge.shape[1]:
         raise ValueError(f"head expects {params.head.w_merge.shape[1]} features, got {feat.shape[1]}")
@@ -812,11 +764,21 @@ def zero_grads(params):
     return {name: np.zeros_like(t) for name, t in params.tensors().items()}
 
 
+def _true_class(labels):
+    """Softmax index of the true class: label 1 is collision, P(collision) is index 0."""
+    return 1 - np.asarray(labels, dtype=np.int64)
+
+
+def sample_losses(probs, labels):
+    """Per-sample cross-entropy -ln P(true class), P clipped below at 1e-12."""
+    picked = probs[np.arange(len(probs)), _true_class(labels)]
+    return -np.log(np.clip(picked, 1e-12, None))
+
+
 def dpm_gradients(params, config, samples, labels, masks=None):
     """Mean cross-entropy over the batch and exact BPTT gradients.
 
-    labels: 1 = collision, 0 = no collision; P(collision) is probs[:, 0],
-    so the target softmax index is (1 - label).
+    labels: 1 = collision, 0 = no collision (see _true_class).
     """
     if len(samples) == 0:
         raise ValueError("empty sample batch")
@@ -826,13 +788,11 @@ def dpm_gradients(params, config, samples, labels, masks=None):
     cache = {"conv": {}, "branch_shape": {}, "lstm": None, "head": None, "probs": None}
     probs = _forward_batch(params, config, images, states, masks, cache)
     b = len(samples)
-    target = 1 - np.asarray(labels, dtype=np.int64)
-    picked = np.clip(probs[np.arange(b), target], 1e-12, None)
-    loss = float(-np.log(picked).mean())
+    loss = float(sample_losses(probs, labels).mean())
 
     grads = zero_grads(params)
     dlogits = probs.copy()
-    dlogits[np.arange(b), target] -= 1.0
+    dlogits[np.arange(b), _true_class(labels)] -= 1.0
     dlogits /= b
 
     feat, act, hidden = cache["head"]
@@ -852,13 +812,10 @@ def dpm_gradients(params, config, samples, labels, masks=None):
         offset += width
         _branch_backward(params, config, cam, cache, dbranch, grads)
     if config.has_state_branch:
-        eff, step_caches = cache["lstm"]
-        u = eff.units
-        dh = dfeat[:, offset : offset + u]
-        dc = np.zeros_like(dh)
-        for t in range(len(step_caches) - 1, -1, -1):
-            _, dh_prev, dc_prev = _lstm_step_backward(eff, step_caches[t], dh, dc, grads)
-            dh, dc = dh_prev, dc_prev
+        # the core's += reaches the (u, d), (u, u) and (u,) gradients through 1x1 views
+        views = {f"lstm.{f}": _as_1x1(f, grads[f"lstm.{f}"]) for f in _CONV_TENSOR_FIELDS}
+        dh = dfeat[:, offset:].T[:, None, :, None, None]  # (u, 1, B, 1, 1)
+        _layer_backward(cache["lstm"], dh, views, "lstm", need_dx=False)
 
     if masks:
         for name, m in masks.items():

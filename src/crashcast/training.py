@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dropout import mix64, sample_masks
-from .network import dpm_forward_batch, dpm_gradients, init_params
+from .network import dpm_forward_batch, dpm_gradients, init_params, sample_losses
 from .stats import ConfusionCounts, accuracy_of, mcc_of, mean_std
 
 
@@ -58,12 +58,6 @@ class TrainReport:
     wall_time: float = 0.0
 
 
-def cross_entropy_loss(probs, label):
-    """-ln P(true class); P(collision) sits at index 0, label 1 means collision."""
-    target = 0 if label == 1 else 1
-    return -math.log(max(float(probs[target]), 1e-12))
-
-
 @dataclass
 class OptimizerState:
     step: int = 0
@@ -103,9 +97,7 @@ def _mean_val_loss(params, net_config, valset, chunk=64):
     for lo in range(0, len(valset), chunk):
         part = valset[lo : lo + chunk]
         probs = dpm_forward_batch(params, net_config, part)
-        targets = np.array([0 if s.label == 1 else 1 for s in part])
-        picked = np.clip(probs[np.arange(len(part)), targets], 1e-12, None)
-        total += float(-np.log(picked).sum())
+        total += float(sample_losses(probs, [s.label for s in part]).sum())
     return total / len(valset)
 
 

@@ -161,18 +161,36 @@ def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
     config = tiny_config()
     path = tmp_path / "m.dpmw"
     save_checkpoint(path, config, init_params(config, seed=3))
-    # the config block opens after magic and version with the input-mode
-    # byte, the camera count and one index byte per camera
-    for offset in (8, 10):
+    # the config block opens at byte 8 after magic and version: input mode
+    # (8), camera count (9), one index byte per camera (10), rows, cols,
+    # channels and seq_len as u16 (11-18), the conv-layer count (19), then per
+    # layer filters u16, kernel, stride and return flag (20-24, 25-29); the
+    # first tensor record starts at 38. Values NetworkConfig rejects fail at
+    # the block's offset.
+    edits = [
+        ({8: 7}, 8),            # input-mode index out of range
+        ({10: 7}, 10),          # camera index out of range
+        ({9: 0}, 8),            # no cameras
+        ({17: 0, 18: 0}, 8),    # zero-length sequences
+        ({19: 0}, 8),           # empty conv stack
+        ({20: 0, 21: 0}, 8),    # zero filters
+        ({22: 0}, 8),           # zero kernel
+        ({22: 2}, 8),           # even kernel
+        ({23: 0}, 8),           # zero stride
+        ({20: 3}, 38),          # a valid config whose first tensor record disagrees
+    ]
+    for i, (edit, offset) in enumerate(edits):
         blob = bytearray(path.read_bytes())
-        blob[offset] = 7
-        bad = tmp_path / f"bad{offset}.dpmw"
+        for at, value in edit.items():
+            blob[at] = value
+        bad = tmp_path / f"bad{i}.dpmw"
         bad.write_bytes(bytes(blob))
         with pytest.raises(CheckpointFormatError) as err:
             load_checkpoint(bad)
-        assert err.value.offset == offset
+        assert err.value.offset == offset, edit
         assert run_cli("eval", "--data", str(tmp_path / "unused.dpmd"), "--model", str(bad)) == 2
-        assert f"byte offset {offset}" in capsys.readouterr().err
+        err_text = capsys.readouterr().err
+        assert f"byte offset {offset}" in err_text and "Traceback" not in err_text
 
 # --- report I/O ----------------------------------------------------------------
 

@@ -150,12 +150,12 @@ def test_run_sfp_deterministic_and_pass_independent():
     assert len(set(a.samples)) > 1
 
 
-def _mask_digests_per_step(params, config, sample, spec, seed):
-    """Digest of the effective first-conv-layer weights observed at each step."""
+def _mask_digests_per_step(params, config, sample, spec, seed, branch):
+    """Digest of the effective layer-0 weights of one branch observed at each step."""
     records = []
 
-    def hook(branch, layer_index, t, eff):
-        if branch == config.cameras[0] and layer_index == 0:
+    def hook(name, layer_index, t, eff):
+        if name == branch and layer_index == 0:
             digest = hashlib.sha256(eff.w_xi.tobytes() + eff.w_hi.tobytes()).hexdigest()
             records.append((t, digest))
 
@@ -163,15 +163,17 @@ def _mask_digests_per_step(params, config, sample, spec, seed):
     return records
 
 
-def test_mask_constancy_across_time_steps():
+@pytest.mark.parametrize("branch", ["camera", "state"])
+def test_mask_constancy_across_time_steps(branch):
     config = tiny_config(seq_len=5)
     params = init_params(config, seed=9)
     rng = np.random.default_rng(11)
     sample = make_samples(rng, config, 1)[0]
     spec = DropoutSpec(rate=0.2)
+    name = config.cameras[0] if branch == "camera" else "state"
     per_pass = []
     for i in range(30):
-        records = _mask_digests_per_step(params, config, sample, spec, mix64(77, i))
+        records = _mask_digests_per_step(params, config, sample, spec, mix64(77, i), name)
         assert [t for t, _ in records] == list(range(config.seq_len))
         digests = {d for _, d in records}
         assert len(digests) == 1  # one mask set across all L steps of a pass

@@ -353,6 +353,18 @@ def test_gradients_at_saturated_minimum_vanish():
     assert norm < 1e-10
 
 
+def test_tensor_names_follow_record_order():
+    """tensors() order is the DPMW record order and the dropout-mask draw order."""
+    cameras = ("right_mirror", "dashcam")
+    params = init_params(tiny_config(cameras=cameras), seed=0)
+    layer = ["w_xi", "w_hi", "w_xf", "w_hf", "w_xc", "w_hc", "w_xo", "w_ho",
+             "w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o"]
+    expected = ([f"cam.{cam}.l{li}.{f}" for cam in cameras for li in (0, 1) for f in layer]
+                + [f"lstm.{f}" for f in layer]
+                + ["head.w_merge", "head.b_merge", "head.w_out", "head.b_out"])
+    assert list(params.tensors()) == expected
+
+
 def test_images_only_has_no_state_branch_parameters():
     config = tiny_config(input_mode="images_only")
     params = init_params(config, seed=8)

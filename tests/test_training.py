@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from crashcast.network import init_params
+from crashcast.network import init_params, sample_losses
 from crashcast.stats import ConfusionCounts, mean_std
 from crashcast.training import (
     FoldResult,
@@ -13,7 +13,6 @@ from crashcast.training import (
     OptimizerState,
     TrainConfig,
     apply_update,
-    cross_entropy_loss,
     evaluate,
     fold_assignment,
     run_kfold,
@@ -24,12 +23,15 @@ from test_network import make_samples, tiny_config
 
 
 def test_cross_entropy_closed_forms():
-    assert cross_entropy_loss(np.array([1.0, 0.0]), 1) == pytest.approx(0.0, abs=1e-12)
-    assert cross_entropy_loss(np.array([0.5, 0.5]), 0) == pytest.approx(math.log(2), abs=1e-12)
-    assert cross_entropy_loss(np.array([0.5, 0.5]), 1) == pytest.approx(math.log(2), abs=1e-12)
-    assert cross_entropy_loss(np.array([0.9, 0.1]), 0) == pytest.approx(2.302585, abs=1e-6)
+    def loss(probs, label):
+        return sample_losses(np.array([probs]), [label])[0]
+
+    assert loss([1.0, 0.0], 1) == pytest.approx(0.0, abs=1e-12)
+    assert loss([0.5, 0.5], 0) == pytest.approx(math.log(2), abs=1e-12)
+    assert loss([0.5, 0.5], 1) == pytest.approx(math.log(2), abs=1e-12)
+    assert loss([0.9, 0.1], 0) == pytest.approx(2.302585, abs=1e-6)
     # clamping keeps the loss finite
-    assert cross_entropy_loss(np.array([1.0, 0.0]), 0) == pytest.approx(-math.log(1e-12))
+    assert loss([1.0, 0.0], 0) == pytest.approx(-math.log(1e-12))
 
 
 def test_train_config_validation():
