@@ -5,11 +5,12 @@ per tensor: name length u16, UTF-8 name, rank u8, dims u32 each, raw float64
 values in row-major order.
 """
 
+import math
 import struct
 
 import numpy as np
 
-from .network import INPUT_MODES, NetworkConfig, init_params
+from .network import INPUT_MODES, NetworkConfig, param_shapes, params_from_tensors
 from .sim import CAMERA_ORDER
 
 MAGIC = b"DPMW"
@@ -112,17 +113,16 @@ def load_checkpoint(path):
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported version {version}", 4)
     config, offset = _unpack_config(blob, 8)
-    params = init_params(config, seed=0)
-    expected = set(params.tensors())
+    shapes = param_shapes(config)
     try:
         (count,) = struct.unpack_from("<I", blob, offset)
         offset += 4
     except struct.error:
         raise CheckpointFormatError("missing tensor count", offset) from None
-    if count != len(expected):
+    if count != len(shapes):
         raise CheckpointFormatError(
-            f"checkpoint stores {count} tensors, architecture needs {len(expected)}", offset - 4)
-    seen = set()
+            f"checkpoint stores {count} tensors, architecture needs {len(shapes)}", offset - 4)
+    values = {}
     for _ in range(count):
         record = offset
         try:
@@ -134,23 +134,29 @@ def load_checkpoint(path):
             offset += 1
             dims = struct.unpack_from(f"<{rank}I", blob, offset)
             offset += 4 * rank
-            n_values = int(np.prod(dims)) if rank else 1
-            if offset + 8 * n_values > len(blob):
-                raise CheckpointFormatError(f"tensor {name!r} data truncated", offset)
-            values = np.frombuffer(blob, dtype="<f8", count=n_values, offset=offset)
-            offset += 8 * n_values
         except (struct.error, UnicodeDecodeError):
             raise CheckpointFormatError("malformed tensor record", offset) from None
-        if name not in expected:
-            raise CheckpointFormatError(f"unknown tensor name {name!r}", offset)
-        try:
-            params.set_tensor(name, values.reshape(dims))
-        except ValueError as exc:
-            raise CheckpointFormatError(str(exc), record) from None
-        seen.add(name)
-    if seen != expected:
-        missing = sorted(expected - seen)
+        if name not in shapes:
+            raise CheckpointFormatError(f"unknown tensor name {name!r}", record)
+        shape = shapes[name]
+        n_values = math.prod(shape)
+        if dims != shape:
+            if 8 * n_values > len(blob) - offset:
+                raise CheckpointFormatError(
+                    f"network config asks for {name} of shape {shape}, "
+                    f"more than the rest of the file holds", 8)
+            raise CheckpointFormatError(f"shape mismatch for {name}: {shape} vs {dims}", record)
+        if offset + 8 * n_values > len(blob):
+            raise CheckpointFormatError(f"tensor {name!r} data truncated", offset)
+        tensor = np.frombuffer(blob, dtype="<f8", count=n_values, offset=offset).reshape(shape)
+        if not np.isfinite(tensor).all():
+            raise CheckpointFormatError(f"non-finite value in tensor {name!r}", record)
+        values[name] = tensor
+        offset += 8 * n_values
+    if len(values) != len(shapes):
+        missing = sorted(set(shapes) - set(values))
         raise CheckpointFormatError(f"missing tensors: {missing[:3]}", offset)
     if offset != len(blob):
         raise CheckpointFormatError("trailing bytes after the last tensor", offset)
-    return config, params
+    # every tensor matched a record of the file, so this copies no more than it holds
+    return config, params_from_tensors(config, {n: t.copy() for n, t in values.items()})

@@ -211,12 +211,6 @@ class NetworkParams:
         out["head.b_out"] = self.head.b_out
         return out
 
-    def set_tensor(self, name, value):
-        target = self.tensors()[name]
-        if target.shape != np.shape(value):
-            raise ValueError(f"shape mismatch for {name}: {target.shape} vs {np.shape(value)}")
-        target[...] = value
-
     def copy(self):
         def copied(layer):
             return replace(layer, **{f: w.copy() for f, w in _layer_tensors(layer).items()})
@@ -239,6 +233,31 @@ def _layer_tensors(layer):
     return {f: getattr(layer, f) for f in _CONV_TENSOR_FIELDS}
 
 
+def param_shapes(config):
+    """Name -> shape of every tensor init_params makes, in record order, allocating none."""
+    shapes = {}
+
+    def recurrent(prefix, w_x, w_h, w_c, bias):
+        kernels = {"x": w_x, "h": w_h, "c": w_c}
+        shapes.update((f"{prefix}.{f}", kernels[f[2]] if f[0] == "w" else bias)
+                      for f in _CONV_TENSOR_FIELDS)
+
+    for cam in config.cameras:
+        c_in = config.image_channels
+        for li, (p, k, (q, r)) in enumerate(zip(config.conv_filters, config.conv_kernels,
+                                                config.layer_dims())):
+            recurrent(f"cam.{cam}.l{li}", (k, k, c_in, p), (k, k, p, p), (q, r, p), (p,))
+            c_in = p
+    if config.has_state_branch:
+        u = config.lstm_units
+        recurrent("lstm", (u, config.state_dim), (u, u), (u,), (u,))
+    shapes["head.w_merge"] = (config.merge_units, config.merge_input_dim)
+    shapes["head.b_merge"] = (config.merge_units,)
+    shapes["head.w_out"] = (2, config.merge_units)
+    shapes["head.b_out"] = (2,)
+    return shapes
+
+
 # weight families eligible for dropout masking, by connection kind
 MASKABLE_FAMILIES = {
     "inputs": tuple(f"w_x{g}" for g in GATES),
@@ -252,50 +271,42 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _glorot_fans(shape):
+    """(fan_in, fan_out) of a weight: kernels (m, n, c_in, p), matrices (out, in),
+    peepholes (q', r', p) or (u,)."""
+    if len(shape) == 4:
+        m, n, c_in, p = shape
+        return m * n * c_in, m * n * p
+    if len(shape) == 2:
+        return shape[1], shape[0]
+    return shape[-1], shape[-1]
+
+
+def params_from_tensors(config, tensors):
+    """NetworkParams holding the arrays of a param_shapes-named dict (not copied)."""
+    def fields(prefix):
+        return {f: tensors[f"{prefix}.{f}"] for f in _CONV_TENSOR_FIELDS}
+
+    branches = {cam: [ConvLstmLayer(stride=s, return_sequences=rs, **fields(f"cam.{cam}.l{li}"))
+                      for li, (s, rs) in enumerate(zip(config.conv_strides,
+                                                       config.conv_return_sequences))]
+                for cam in config.cameras}
+    lstm = LstmLayer(**fields("lstm")) if config.has_state_branch else None
+    head = DenseHead(*(tensors[f"head.{f}"] for f in ("w_merge", "b_merge", "w_out", "b_out")))
+    return NetworkParams(branches, lstm, head)
+
+
 def init_params(config, seed=0):
     """Glorot-uniform weights, zero biases except forget gate at +1."""
     rng = np.random.default_rng(seed)
-    branches = {}
-    for cam in config.cameras:
-        layers = []
-        c_in = config.image_channels
-        q, r = config.image_rows, config.image_cols
-        for li, p in enumerate(config.conv_filters):
-            k = config.conv_kernels[li]
-            s = config.conv_strides[li]
-            q = -(-q // s)
-            r = -(-r // s)
-            fields = {}
-            for g in GATES:
-                fields[f"w_x{g}"] = _glorot(rng, (k, k, c_in, p), k * k * c_in, k * k * p)
-                fields[f"w_h{g}"] = _glorot(rng, (k, k, p, p), k * k * p, k * k * p)
-            for g in ("i", "f", "o"):
-                fields[f"w_c{g}"] = _glorot(rng, (q, r, p), p, p)
-            for g in GATES:
-                fields[f"b_{g}"] = np.full(p, 1.0) if g == "f" else np.zeros(p)
-            layers.append(ConvLstmLayer(stride=s, return_sequences=config.conv_return_sequences[li], **fields))
-            c_in = p
-        branches[cam] = layers
-    lstm = None
-    if config.has_state_branch:
-        u, d = config.lstm_units, config.state_dim
-        fields = {}
-        for g in GATES:
-            fields[f"w_x{g}"] = _glorot(rng, (u, d), d, u)
-            fields[f"w_h{g}"] = _glorot(rng, (u, u), u, u)
-        for g in ("i", "f", "o"):
-            fields[f"w_c{g}"] = _glorot(rng, (u,), u, u)
-        for g in GATES:
-            fields[f"b_{g}"] = np.full(u, 1.0) if g == "f" else np.zeros(u)
-        lstm = LstmLayer(**fields)
-    head = DenseHead(
-        w_merge=_glorot(rng, (config.merge_units, config.merge_input_dim),
-                        config.merge_input_dim, config.merge_units),
-        b_merge=np.zeros(config.merge_units),
-        w_out=_glorot(rng, (2, config.merge_units), config.merge_units, 2),
-        b_out=np.zeros(2),
-    )
-    return NetworkParams(branches, lstm, head)
+    tensors = {}
+    for name, shape in param_shapes(config).items():
+        field = name.rsplit(".", 1)[1]
+        if field.startswith("b_"):
+            tensors[name] = np.full(shape, 1.0 if field == "b_f" else 0.0)
+        else:
+            tensors[name] = _glorot(rng, shape, *_glorot_fans(shape))
+    return params_from_tensors(config, tensors)
 
 
 # --- channels-first ConvLSTM core ------------------------------------------

@@ -3,14 +3,19 @@
 Everything is deterministic given the seeds: batch order, parameter init,
 and training-time dropout masks all derive from TrainConfig.rng_seed through
 the same avalanche mixer used for stochastic forward passes. Fold training
-runs are independent and can execute in parallel worker processes.
+runs are independent and can execute in parallel worker processes; each fold
+fit runs with OpenBLAS pinned to one thread, so fold results do not depend on
+the worker count or on the inherited BLAS thread setting.
 """
 
+import ctypes
 import dataclasses
 import math
 import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,22 +270,74 @@ def _fold_worker_run(fold):
                          val_fraction, rng_seed)
 
 
+def _openblas_threads():
+    """(get, set) of the thread count of the loaded OpenBLAS, or None.
+
+    Found through the process's own memory map; None where that map is
+    unreadable or the loaded BLAS is not OpenBLAS. numpy's bundled copy
+    exports scipy_openblas_*64_ names, a system OpenBLAS the plain ones.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for pattern in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            try:
+                get, set_ = (getattr(lib, pattern.format(op)) for op in ("get", "set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block, then restore the caller's count.
+
+    Forked fold workers inherit the pin. Two BLAS threads per worker would
+    oversubscribe the cores under --jobs, and the thread count changes the
+    low bits of the GEMM results, so one thread everywhere also makes fold
+    results independent of the worker count.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_kfold(samples, k, net_config, config, dropout_spec=None, fold_unit="episodes",
               val_fraction=0.1, rng_seed=0, jobs=1):
     """Rotate k held-out folds; per-fold accuracy/MCC plus population mean/std."""
     if k < 2:
         raise ValueError("k-fold needs k >= 2")
     assignment = fold_assignment(samples, k, fold_unit, rng_seed)
-    if jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                                 initializer=_fold_worker_init,
-                                 initargs=(samples, assignment, net_config, config,
-                                           dropout_spec, val_fraction, rng_seed)) as pool:
-            folds = list(pool.map(_fold_worker_run, range(k)))
-    else:
-        folds = [_run_one_fold(f, samples, assignment, net_config, config, dropout_spec,
-                               val_fraction, rng_seed) for f in range(k)]
+    with _one_blas_thread():
+        if jobs > 1:
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
+                                     initializer=_fold_worker_init,
+                                     initargs=(samples, assignment, net_config, config,
+                                               dropout_spec, val_fraction, rng_seed)) as pool:
+                folds = list(pool.map(_fold_worker_run, range(k)))
+        else:
+            folds = [_run_one_fold(f, samples, assignment, net_config, config, dropout_spec,
+                                   val_fraction, rng_seed) for f in range(k)]
     acc_mean, acc_std = mean_std([f.accuracy for f in folds])
     mcc_mean, mcc_std = mean_std([f.mcc for f in folds])
     return KFoldResult(folds=folds, accuracy_mean=acc_mean, accuracy_std=acc_std,

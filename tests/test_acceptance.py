@@ -126,10 +126,11 @@ def test_criterion_4_camera_sweep_desk_scale(tmp_path):
     """All-three-cameras beats each single camera on mean MCC; accuracy >= 0.70."""
     t0 = time.monotonic()
     data = tmp_path / "sweep.dpmd"
-    rc = cli_main(["gen-data", "--seed", "42", "--out", str(data), *SWEEP_CONFIG])
+    rc = cli_main(["gen-data", "--seed", "42", "--jobs", "2", "--out", str(data),
+                   *SWEEP_CONFIG])
     assert rc == 0
     out = tmp_path / "camera_sweep"
-    rc = cli_main(["experiment", "--data", str(data), "--sweep", "camera",
+    rc = cli_main(["experiment", "--data", str(data), "--sweep", "camera", "--jobs", "2",
                    "--seed", "42", "--out", str(out), *SWEEP_CONFIG])
     assert rc == 0
     _prov, _header, rows = read_csv(out / "summary.csv")

@@ -177,6 +177,7 @@ def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
         ({22: 0}, 8),           # zero kernel
         ({22: 2}, 8),           # even kernel
         ({23: 0}, 8),           # zero stride
+        ({11: 255, 12: 255, 13: 255, 14: 255}, 8),  # 65535x65535 images: tens of GiB
         ({20: 3}, 38),          # a valid config whose first tensor record disagrees
     ]
     for i, (edit, offset) in enumerate(edits):
@@ -191,6 +192,25 @@ def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
         assert run_cli("eval", "--data", str(tmp_path / "unused.dpmd"), "--model", str(bad)) == 2
         err_text = capsys.readouterr().err
         assert f"byte offset {offset}" in err_text and "Traceback" not in err_text
+
+
+
+def test_checkpoint_rejects_non_finite_values(tmp_path, capsys):
+    config = tiny_config()
+    path = tmp_path / "m.dpmw"
+    save_checkpoint(path, config, init_params(config, seed=3))
+    clean = path.read_bytes()
+    # head.b_out is the last record: u16 name length, name, rank, one u32 dim, 2 values
+    record = len(clean) - (2 + len("head.b_out") + 1 + 4 + 16)
+    for i, value in enumerate((np.nan, np.inf, -np.inf)):
+        bad = tmp_path / f"bad{i}.dpmw"
+        bad.write_bytes(clean[:-8] + np.array([value], dtype="<f8").tobytes())
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(bad)
+        assert err.value.offset == record
+        assert run_cli("eval", "--data", str(tmp_path / "unused.dpmd"), "--model", str(bad)) == 2
+        err_text = capsys.readouterr().err
+        assert f"byte offset {record}" in err_text and "Traceback" not in err_text
 
 # --- report I/O ----------------------------------------------------------------
 

@@ -17,6 +17,7 @@ from crashcast.network import (
     dpm_gradients,
     init_params,
     lstm_step,
+    param_shapes,
     zero_grads,
 )
 
@@ -354,7 +355,8 @@ def test_gradients_at_saturated_minimum_vanish():
 
 
 def test_tensor_names_follow_record_order():
-    """tensors() order is the DPMW record order and the dropout-mask draw order."""
+    """tensors() order is the DPMW record order and the dropout-mask draw order;
+    param_shapes gives the same names and shapes without allocating."""
     cameras = ("right_mirror", "dashcam")
     params = init_params(tiny_config(cameras=cameras), seed=0)
     layer = ["w_xi", "w_hi", "w_xf", "w_hf", "w_xc", "w_hc", "w_xo", "w_ho",
@@ -363,6 +365,10 @@ def test_tensor_names_follow_record_order():
                 + [f"lstm.{f}" for f in layer]
                 + ["head.w_merge", "head.b_merge", "head.w_out", "head.b_out"])
     assert list(params.tensors()) == expected
+    for config in (tiny_config(cameras=cameras),
+                   tiny_config("images_only", rows=7, cols=5, strides=(2, 1))):
+        tensors = init_params(config, seed=0).tensors()
+        assert list(param_shapes(config).items()) == [(n, t.shape) for n, t in tensors.items()]
 
 
 def test_images_only_has_no_state_branch_parameters():

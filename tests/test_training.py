@@ -1,11 +1,14 @@
 """Trainer tests: loss closed forms, optimizer math, early stopping, k-fold."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from crashcast import training
 from crashcast.network import init_params, sample_losses
+from crashcast.report import read_csv
 from crashcast.stats import ConfusionCounts, mean_std
 from crashcast.training import (
     FoldResult,
@@ -19,6 +22,7 @@ from crashcast.training import (
     train,
 )
 
+from test_config_cli import FAST_GEN, TRAIN_FAST, run_cli
 from test_network import make_samples, tiny_config
 
 
@@ -282,6 +286,74 @@ def test_run_kfold_parallel_matches_sequential():
     assert [f.accuracy for f in seq.folds] == [f.accuracy for f in par.folds]
     assert [f.mcc for f in seq.folds] == [f.mcc for f in par.folds]
     assert [f.counts for f in seq.folds] == [f.counts for f in par.folds]
+
+
+def _openblas_threads():
+    """The loaded OpenBLAS's thread (get, set) pair, which must be found wherever
+    numpy links OpenBLAS."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("numpy does not link OpenBLAS")
+    found = training._openblas_threads()
+    assert found is not None, "numpy links OpenBLAS, but no loaded OpenBLAS was found"
+    return found
+
+
+def test_run_kfold_fits_folds_on_one_blas_thread(tmp_path, monkeypatch):
+    get, set_ = _openblas_threads()
+    log = tmp_path / "threads.log"
+    real_train = training.train
+
+    def logging_train(*args, **kwargs):
+        with open(log, "a") as fh:  # forked workers append here too
+            fh.write(f"{os.getpid()} {get()}\n")
+        return real_train(*args, **kwargs)
+
+    def failing_train(*args, **kwargs):
+        raise RuntimeError("fold fit failed")
+
+    config = tiny_config()
+    rng = np.random.default_rng(23)
+    samples = make_samples(rng, config, 8)
+    for i, s in enumerate(samples):
+        s.episode_id = i // 2
+        s.label = i % 2
+    tc = TrainConfig(batch_size=4, max_iterations=2, validation_interval=2,
+                     patience=1, dropout_in_training=False)
+    caller = get()
+    set_(2)
+    try:
+        monkeypatch.setattr(training, "train", logging_train)
+        for jobs in (1, 2):
+            run_kfold(samples, 2, config, tc, rng_seed=8, jobs=jobs)
+            assert get() == 2
+        monkeypatch.setattr(training, "train", failing_train)
+        with pytest.raises(RuntimeError):
+            run_kfold(samples, 2, config, tc, rng_seed=8)
+        assert get() == 2
+    finally:
+        set_(caller)
+    fits = [line.split() for line in log.read_text().splitlines()]
+    assert [threads for _pid, threads in fits] == ["1"] * 4
+    assert {pid for pid, _ in fits[:2]} == {str(os.getpid())}
+    assert str(os.getpid()) not in {pid for pid, _ in fits[2:]}
+
+
+def test_experiment_folds_do_not_depend_on_jobs(tmp_path, capsys):
+    data = tmp_path / "d.dpmd"
+    assert run_cli("gen-data", "--seed", "9", "--out", str(data), *FAST_GEN) == 0
+    folds = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli("experiment", "--data", str(data), "--sweep", "camera", "--seed", "12",
+                       "--jobs", jobs, "--out", str(out), *TRAIN_FAST,
+                       "--set", "eval.fold_k=2", "--set", "train.max_iterations=4",
+                       "--set", "train.validation_interval=2") == 0
+        folds.append((out / "folds.csv").read_bytes())
+    assert folds[0] == folds[1]
+    _prov, _header, rows = read_csv(tmp_path / "jobs2" / "folds.csv")
+    assert len(rows) == 8  # 4 camera groups x 2 folds
+    capsys.readouterr()
 
 
 def test_constant_output_model_fold_stability():
