@@ -58,6 +58,9 @@ def _unpack_config(blob, offset):
         filters, kernels, strides, returns = [], [], [], []
         for _ in range(n_conv):
             f, k, s, r = struct.unpack_from("<HBBB", blob, offset)
+            if r not in (0, 1):
+                raise CheckpointFormatError(f"return-sequences flag must be 0 or 1, got {r}",
+                                            offset + 4)
             offset += 5
             filters.append(f)
             kernels.append(k)

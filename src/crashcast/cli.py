@@ -51,12 +51,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p):
+def _add_common(p, jobs_help="parallel worker processes"):
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override one configuration key")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
 
 def build_parser():
@@ -65,7 +65,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="simulate episodes and write a dataset file")
-    _add_common(p)
+    _add_common(p, jobs_help="worker processes simulating episodes (default 1, which "
+                             "leaves other cores idle: pass the core count; the output "
+                             "does not depend on it)")
     p.add_argument("--out", required=True, help="output dataset path (.dpmd)")
 
     p = sub.add_parser("train", help="train a model on a dataset")
@@ -80,7 +82,9 @@ def build_parser():
     p.add_argument("--out", help="metrics CSV (default: print only)")
 
     p = sub.add_parser("experiment", help="k-fold sweep over input modes or cameras")
-    _add_common(p)
+    _add_common(p, jobs_help="worker processes fitting folds (default 1); every fold fit "
+                             "runs on one BLAS thread, so 1 leaves other cores idle: pass "
+                             "the core count; the output does not depend on it")
     p.add_argument("--data", required=True)
     p.add_argument("--sweep", choices=("input_mode", "camera"), required=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -117,7 +121,7 @@ def _provenance(args, cfg, extra=None):
 def _gen_episode(task):
     sid, delay, dt, max_duration, cams, world, horizon = task
     episode = run_scenario(ScenarioSpec(sid, delay, dt=dt, max_duration=max_duration),
-                           cams, world)
+                           cams, world, horizon)
     return sid, episode.label, datamod.truncate_episode(episode, horizon)
 
 

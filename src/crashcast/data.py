@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import CAMERA_ORDER
+from .sim import CAMERA_ORDER, in_window
 
 MAGIC = b"DPMD"
 VERSION = 1
@@ -87,13 +87,12 @@ def quantize_image(img):
 
 def truncate_episode(episode, horizon=5.0, cam_mount=DASHCAM_MOUNT):
     """Keep frames within `horizon` seconds before the event; convert to Frames."""
-    lo = episode.event_time - horizon - 1e-9
-    hi = episode.event_time + 1e-9
-    cameras = [c for c in CAMERA_ORDER if c in episode.frames[0].images]
+    kept = [f for f in episode.frames if in_window(f.t, episode.event_time, horizon)]
+    if not kept:
+        return []
+    cameras = [c for c in CAMERA_ORDER if c in kept[0].images]
     out = []
-    for f in episode.frames:
-        if not (lo <= f.t <= hi):
-            continue
+    for f in kept:
         s = f.sensor
         state = np.array([cam_mount[0], cam_mount[1], cam_mount[2],
                           s.x, s.y, 0.0, s.speed, s.torque_cmd, float(s.accelerator)])
@@ -235,6 +234,18 @@ def deserialize_dataset(path, cameras=None):
             f"expected {expected} bytes for {count} samples, found {len(blob)}",
             min(len(blob), expected))
     img_bytes = rows * cols
+    frame_bytes = n_cams * img_bytes + 40
+    if count and seq_len:
+        # the 9 state values and the action of every frame, as one strided view
+        values = np.ndarray((count, seq_len, 10), dtype="<f4", buffer=blob,
+                            offset=HEADER_SIZE + 1 + n_cams * img_bytes,
+                            strides=(per_sample, frame_bytes, 4))
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values).all(axis=2)
+            idx, t = np.unravel_index(np.argmin(finite), finite.shape)
+            raise DatasetFormatError(
+                f"non-finite state or action value in sample {idx}, frame {t}",
+                HEADER_SIZE + int(idx) * per_sample + 1 + int(t) * frame_bytes)
     samples = []
     offset = HEADER_SIZE
     for idx in range(count):

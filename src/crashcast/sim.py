@@ -13,10 +13,15 @@ of four scenarios:
 Vehicles are oriented rectangles; collision is strict-overlap SAT, so
 edge-touching does not count. Cameras are pinhole projections rendered by
 ray casting: the other vehicle is a box of intensity 1.0, the ground plane
-0.25, the sky 0.0.
+0.25, the sky 0.0. Each camera's pixel grid is built once and cached.
+
+An episode runs its physics first; the event time (collision, or closest
+approach) then fixes which frames are rendered. `gen-data` keeps only the
+`data.horizon` seconds before the event, and renders only those frames.
 """
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -172,6 +177,24 @@ def detect_collision(a, b):
     return True
 
 
+@functools.lru_cache(maxsize=64)
+def _camera_rays(cam):
+    """Per-camera constants of `render_camera`, built once per CameraSpec.
+
+    Returns the focal length in pixels, the (rows, cols) pixel-centre offsets
+    uu (left-positive) and vv (up-positive), and the mask of rays that point
+    below the horizon. The arrays are shared by every call, so read-only.
+    """
+    focal = (cam.cols / 2.0) / math.tan(cam.fov / 2.0)
+    u = cam.cols / 2.0 - (np.arange(cam.cols) + 0.5)        # left-positive
+    v = cam.rows / 2.0 - (np.arange(cam.rows) + 0.5)        # up-positive
+    uu, vv = np.meshgrid(u, v)
+    below = vv < 0
+    for arr in (uu, vv, below):
+        arr.flags.writeable = False
+    return focal, uu, vv, below
+
+
 def render_camera(sensor, other, cam, world=WorldConfig()):
     """Ray-cast one camera view; returns a (rows, cols, 1) image in [0, 1]."""
     ch, sh = _unit(sensor.heading)
@@ -180,16 +203,12 @@ def render_camera(sensor, other, cam, world=WorldConfig()):
     pz = cam.mount[2]
     cc, sc = _unit(sensor.heading - cam.yaw_offset)
 
-    focal = (cam.cols / 2.0) / math.tan(cam.fov / 2.0)
-    u = cam.cols / 2.0 - (np.arange(cam.cols) + 0.5)        # left-positive
-    v = cam.rows / 2.0 - (np.arange(cam.rows) + 0.5)        # up-positive
-    uu, vv = np.meshgrid(u, v)
+    focal, uu, dz, below = _camera_rays(cam)
     dx = focal * cc - uu * sc
     dy = focal * sc + uu * cc
-    dz = np.broadcast_to(vv, dx.shape)
 
     img = np.zeros((cam.rows, cam.cols))
-    img[dz < 0] = world.ground_intensity
+    img[below] = world.ground_intensity
 
     if other is not None:
         cb, sb = _unit(other.heading)
@@ -236,16 +255,29 @@ def scenario_start_states(scenario_id, world=WorldConfig()):
     return sensor, other
 
 
-def run_scenario(spec, cams=(), world=WorldConfig()):
+def in_window(t, event_time, horizon):
+    """Whether a frame at time t lies within `horizon` seconds up to the event.
+
+    The window is [event - horizon, event] with 1e-9 s of slack at both ends,
+    since frame times are computed as k * dt. `run_scenario` and
+    `data.truncate_episode` both keep frames by this test.
+    """
+    return event_time - horizon - 1e-9 <= t <= event_time + 1e-9
+
+
+def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
     """Simulate one episode at 1/dt Hz until collision or max duration.
 
     Both vehicles start stationary; the other vehicle is commanded to go at
     t=0, the sensor vehicle at t=delay. Frames record only sensor-side data.
+    The physics runs first; the event time then fixes which frames are
+    rendered. With `horizon` set, only the frames `in_window` of the event
+    are rendered and returned; with None, every frame is.
     """
     sensor, other = scenario_start_states(spec.scenario_id, world)
     other = replace(other, accelerator=1)
     n_steps = int(math.floor(spec.max_duration / spec.dt + 1e-9))
-    frames = []
+    states = []             # (t, sensor, other, action) per frame
     label = 0
     event_time = 0.0
     best_dist = math.inf
@@ -253,8 +285,7 @@ def run_scenario(spec, cams=(), world=WorldConfig()):
         t = k * spec.dt
         go = 1 if t + 1e-12 >= spec.delay else 0
         sensor = replace(sensor, accelerator=go)
-        images = {cam.name: render_camera(sensor, other, cam, world) for cam in cams}
-        frames.append(SimFrame(t=t, images=images, sensor=replace(sensor), action=go))
+        states.append((t, sensor, other, go))
         if detect_collision(sensor, other):
             label = 1
             event_time = t
@@ -264,6 +295,12 @@ def run_scenario(spec, cams=(), world=WorldConfig()):
             best_dist = dist
             event_time = t
         sensor, other = step_world((sensor, other), spec.dt, world)
+    if horizon is not None:
+        states = [s for s in states if in_window(s[0], event_time, horizon)]
+    # step_world returns new states, so a frame's sensor is never mutated later
+    frames = [SimFrame(t=t, images={cam.name: render_camera(s, o, cam, world) for cam in cams},
+                       sensor=s, action=go)
+              for t, s, o, go in states]
     return Episode(frames=frames, label=label, event_time=event_time,
                    scenario_id=spec.scenario_id, delay=spec.delay)
 

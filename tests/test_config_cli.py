@@ -1,6 +1,7 @@
 """Configuration parsing, checkpoint format, and CLI behaviour tests."""
 
 import os
+import resource
 
 import numpy as np
 import pytest
@@ -179,6 +180,8 @@ def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
         ({23: 0}, 8),           # zero stride
         ({11: 255, 12: 255, 13: 255, 14: 255}, 8),  # 65535x65535 images: tens of GiB
         ({20: 3}, 38),          # a valid config whose first tensor record disagrees
+        ({24: 2}, 24),          # return-sequences flags are 0 or 1
+        ({29: 255}, 29),
     ]
     for i, (edit, offset) in enumerate(edits):
         blob = bytearray(path.read_bytes())
@@ -211,6 +214,35 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, capsys):
         assert run_cli("eval", "--data", str(tmp_path / "unused.dpmd"), "--model", str(bad)) == 2
         err_text = capsys.readouterr().err
         assert f"byte offset {record}" in err_text and "Traceback" not in err_text
+
+
+def test_checkpoint_byte_fuzz_raises_typed_error_or_reloads_exactly(tmp_path):
+    # three cameras put the first conv layer's return-sequences flag at byte 26
+    config = tiny_config(cameras=("left_mirror", "dashcam", "right_mirror"))
+    path = tmp_path / "m.dpmw"
+    save_checkpoint(path, config, init_params(config, seed=3))
+    clean = path.read_bytes()
+    bad, resaved = tmp_path / "bad.dpmw", tmp_path / "resaved.dpmw"
+    rng = np.random.default_rng(606)
+    # a config that asks for a huge tensor must fail on its bytes, not on allocation
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 3 << 30
+    capped = limit if hard == resource.RLIM_INFINITY else min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (capped, hard))
+    try:
+        for _ in range(400):
+            at = int(rng.integers(0, 60))
+            blob = bytearray(clean)
+            blob[at] = (blob[at] + int(rng.integers(1, 256))) % 256
+            bad.write_bytes(bytes(blob))
+            try:
+                loaded = load_checkpoint(bad)
+            except CheckpointFormatError:
+                continue
+            save_checkpoint(resaved, *loaded)
+            assert resaved.read_bytes() == bytes(blob), f"byte {at} = {blob[at]}"
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 # --- report I/O ----------------------------------------------------------------
 

@@ -21,7 +21,8 @@ from crashcast.data import (
     windowize,
     write_meta,
 )
-from crashcast.sim import ScenarioSpec, default_cameras, run_scenario
+from crashcast.cli import _gen_episode
+from crashcast.sim import ScenarioSpec, WorldConfig, default_cameras, run_scenario
 
 
 def fake_frame(rng, cams=3, rows=4, cols=4):
@@ -66,6 +67,21 @@ def test_truncate_never_empty_and_builds_state_vector():
     assert f.state[5] == 0.0                        # vehicle z
     assert f.images[0].dtype == np.uint8
     assert len(f.images) == 3
+
+
+@pytest.mark.parametrize("horizon", [5.0, 2.0])
+def test_gen_episode_equals_truncated_full_run(horizon):
+    cams = default_cameras(rows=6, cols=6)
+    world = WorldConfig()
+    for sid, delay in ((1, 0.1), (2, 0.45), (3, 0.3), (4, 0.2)):
+        got_sid, label, frames = _gen_episode((sid, delay, 0.05, 12.0, cams, world, horizon))
+        full = run_scenario(ScenarioSpec(sid, delay), cams, world)
+        want = truncate_episode(full, horizon)
+        assert (got_sid, label) == (sid, full.label)
+        assert len(frames) == len(want) > 0
+        for g, w in zip(frames, want):
+            assert g.state.tobytes() == w.state.tobytes() and g.action == w.action
+            assert [i.tobytes() for i in g.images] == [i.tobytes() for i in w.images]
 
 
 def test_windowize_counts():
@@ -213,6 +229,23 @@ def test_deserialize_rejects_corruption(tmp_path):
     truncated.write_bytes(bytes(blob[:-10]))
     with pytest.raises(DatasetFormatError):
         deserialize_dataset(truncated)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "pos_inf", "neg_inf"])
+@pytest.mark.parametrize("field", [4, 9], ids=["state", "action"])
+def test_deserialize_rejects_non_finite_values(tmp_path, field, value):
+    rng = np.random.default_rng(13)
+    path = tmp_path / "c.dpmd"
+    serialize_dataset(fake_samples(rng, 3), path)  # 5 frames of 3 4x4 images each
+    frame_bytes = 3 * 16 + 9 * 4 + 4
+    frame = HEADER_SIZE + 2 * sample_byte_size(5, 3, 4, 4) + 1 + 3 * frame_bytes
+    at = frame + 3 * 16 + 4 * field  # state values 0-8, then the action
+    blob = bytearray(path.read_bytes())
+    blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DatasetFormatError) as err:
+        deserialize_dataset(path)
+    assert err.value.offset == frame
 
 
 def test_quantize_image_stable_fixed_points():

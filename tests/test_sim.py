@@ -6,12 +6,14 @@ import os
 import numpy as np
 import pytest
 
+from crashcast.data import truncate_episode
 from crashcast.sim import (
     CameraSpec,
     Episode,
     ScenarioSpec,
     VehicleState,
     WorldConfig,
+    _camera_rays,
     bisect_delay_threshold,
     default_cameras,
     detect_collision,
@@ -250,3 +252,65 @@ def test_episode_records_sensor_side_only():
     assert set(f.images) == {"left_mirror", "dashcam", "right_mirror"}
     assert f.sensor.y == pytest.approx(-40.0)
     assert f.action in (0, 1)
+
+
+def test_camera_rays_are_cached_read_only():
+    cam = CameraSpec("dashcam", (0.5, 0.0, 1.2), 0.0, rows=5, cols=7)
+    focal, uu, vv, below = _camera_rays(cam)
+    again = _camera_rays(CameraSpec("dashcam", (0.5, 0.0, 1.2), 0.0, rows=5, cols=7))
+    assert again[1] is uu and again[3] is below
+    assert uu.shape == vv.shape == below.shape == (5, 7)
+    for arr in (uu, vv, below):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+
+
+def _assert_same_frames(got, want):
+    """Frame by frame: time, sensor fields, action and image bytes."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.t == w.t
+        assert g.sensor == w.sensor
+        assert g.action == w.action
+        assert g.images.keys() == w.images.keys()
+        for name in w.images:
+            assert g.images[name].tobytes() == w.images[name].tobytes()
+
+
+@pytest.fixture(scope="module")
+def d_star():
+    return bisect_delay_threshold(1)
+
+
+@pytest.mark.parametrize("horizon", [5.0, 1.5])
+@pytest.mark.parametrize("side", [-1, 1], ids=["below_d_star", "above_d_star"])
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+def test_horizon_bounded_run_renders_only_the_kept_window(sid, side, horizon, d_star):
+    spec = ScenarioSpec(sid, max(0.0, d_star + 0.15 * side))
+    cams = default_cameras(rows=6, cols=6)
+    full = run_scenario(spec, cams)
+    bounded = run_scenario(spec, cams, horizon=horizon)
+    if sid in (1, 2):
+        assert full.label == (1 if side < 0 else 0)
+    assert (bounded.label, bounded.event_time) == (full.label, full.event_time)
+    lo, hi = full.event_time - horizon - 1e-9, full.event_time + 1e-9
+    _assert_same_frames(bounded.frames, [f for f in full.frames if lo <= f.t <= hi])
+    kept, kept_full = truncate_episode(bounded, horizon), truncate_episode(full, horizon)
+    assert len(kept) == len(bounded.frames) == len(kept_full)
+    for g, w in zip(kept, kept_full):
+        assert g.state.tobytes() == w.state.tobytes() and g.action == w.action
+        assert [i.tobytes() for i in g.images] == [i.tobytes() for i in w.images]
+
+
+def test_horizon_bounded_run_clamps_at_episode_start():
+    cams = default_cameras(rows=4, cols=4)
+    spec = ScenarioSpec(3, 0.05)
+    full = run_scenario(spec, cams)
+    bounded = run_scenario(spec, cams, horizon=6.0)
+    assert full.event_time < 6.0 < full.frames[-1].t
+    assert bounded.frames[0].t == 0.0
+    _assert_same_frames(bounded.frames, [f for f in full.frames if f.t <= full.event_time + 1e-9])
+    # a window that holds no frame gives an empty episode, and nothing to keep
+    empty = run_scenario(spec, cams, horizon=-1.0)
+    assert empty.frames == [] and truncate_episode(empty, -1.0) == []
