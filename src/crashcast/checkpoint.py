@@ -2,7 +2,9 @@
 
 Layout: magic "DPMW" | version u32 | network-config block | tensor count u32 |
 per tensor: name length u16, UTF-8 name, rank u8, dims u32 each, raw float64
-values in row-major order.
+values in row-major order. Each conv layer's return-sequences flag byte is 1
+for every layer but the last and 0 for the last; a file that says otherwise
+is refused at that byte's offset.
 """
 
 import math
@@ -55,17 +57,18 @@ def _unpack_config(blob, offset):
         offset += 8
         (n_conv,) = struct.unpack_from("<B", blob, offset)
         offset += 1
-        filters, kernels, strides, returns = [], [], [], []
-        for _ in range(n_conv):
+        filters, kernels, strides = [], [], []
+        for li in range(n_conv):
             f, k, s, r = struct.unpack_from("<HBBB", blob, offset)
-            if r not in (0, 1):
-                raise CheckpointFormatError(f"return-sequences flag must be 0 or 1, got {r}",
-                                            offset + 4)
+            returns = int(li < n_conv - 1)  # every conv layer but the last
+            if r != returns:
+                raise CheckpointFormatError(
+                    f"return-sequences flag of conv layer {li} must be {returns}, got {r}",
+                    offset + 4)
             offset += 5
             filters.append(f)
             kernels.append(k)
             strides.append(s)
-            returns.append(bool(r))
         lstm_units, merge_units = struct.unpack_from("<HH", blob, offset)
         offset += 4
     except struct.error:
@@ -77,7 +80,7 @@ def _unpack_config(blob, offset):
             input_mode=INPUT_MODES[mode_idx], cameras=tuple(cams),
             image_rows=rows, image_cols=cols, image_channels=channels, seq_len=seq_len,
             conv_filters=tuple(filters), conv_kernels=tuple(kernels),
-            conv_strides=tuple(strides), conv_return_sequences=tuple(returns),
+            conv_strides=tuple(strides),
             lstm_units=lstm_units, merge_units=merge_units,
         )
     except ValueError as exc:

@@ -5,6 +5,10 @@ Every command is reproducible from (config, seed): outputs embed the seed
 and a config hash, and re-running with the same inputs produces
 byte-identical primary outputs.
 
+Every command reads its configuration first, and every value is checked as
+it is parsed, so a bad value exits 1 naming its key before any work starts.
+Only gen-data and experiment, which run worker processes, take --jobs.
+
 Exit codes: 0 success, 1 usage/config error, 2 data/model error.
 """
 
@@ -51,12 +55,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p, jobs_help="parallel worker processes"):
+def _add_common(p):
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="KEY=VALUE", help="override one configuration key")
-    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
 
 def build_parser():
@@ -65,9 +68,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="simulate episodes and write a dataset file")
-    _add_common(p, jobs_help="worker processes simulating episodes (default 1, which "
-                             "leaves other cores idle: pass the core count; the output "
-                             "does not depend on it)")
+    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes simulating episodes (default 1, which leaves "
+                        "other cores idle: pass the core count; the output does not "
+                        "depend on it)")
     p.add_argument("--out", required=True, help="output dataset path (.dpmd)")
 
     p = sub.add_parser("train", help="train a model on a dataset")
@@ -82,9 +87,11 @@ def build_parser():
     p.add_argument("--out", help="metrics CSV (default: print only)")
 
     p = sub.add_parser("experiment", help="k-fold sweep over input modes or cameras")
-    _add_common(p, jobs_help="worker processes fitting folds (default 1); every fold fit "
-                             "runs on one BLAS thread, so 1 leaves other cores idle: pass "
-                             "the core count; the output does not depend on it")
+    _add_common(p)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes fitting folds (default 1); every fold fit runs on "
+                        "one BLAS thread, so 1 leaves other cores idle: pass the core count; "
+                        "the output does not depend on it")
     p.add_argument("--data", required=True)
     p.add_argument("--sweep", choices=("input_mode", "camera"), required=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -210,9 +217,8 @@ def cmd_train(args):
     net_config = cfgmod.network_config(cfg)
     _check_model_fits_dataset(net_config, dataset)
     params = init_params(net_config, seed=mix64(args.seed, 1))
-    tc = cfgmod.train_config(cfg, rng_seed=mix64(args.seed, 2))
-    spec = cfgmod.dropout_spec(cfg)
-    trained, report = train(params, net_config, tc, trainset, valset, spec)
+    trained, report = train(params, net_config, cfg.train, trainset, valset, cfg.dropout,
+                            rng_seed=mix64(args.seed, 2))
     save_checkpoint(args.out, net_config, trained)
 
     val_by_iter = dict(report.val_losses)
@@ -296,15 +302,13 @@ def cmd_experiment(args):
         _check_model_fits_dataset(net_config, dataset)
 
     os.makedirs(args.out, exist_ok=True)
-    tc = cfgmod.train_config(cfg, rng_seed=mix64(args.seed, 2))
-    spec = cfgmod.dropout_spec(cfg)
     fold_seed = mix64(args.seed, 3)
 
     fold_rows = []
     summary_rows = []
     results = {}
     for group, net_config in groups:
-        result = run_kfold(dataset.samples, cfg.eval.fold_k, net_config, tc, spec,
+        result = run_kfold(dataset.samples, cfg.eval.fold_k, net_config, cfg.train, cfg.dropout,
                            fold_unit=fold_unit, val_fraction=cfg.eval.val_fraction,
                            rng_seed=fold_seed, jobs=args.jobs)
         results[group] = result
@@ -349,8 +353,7 @@ def cmd_predict(args):
                          f"[0, {len(dataset.samples)})")
     sample = dataset.samples[args.index]
     n = args.sfp if args.sfp is not None else cfg.eval.sfp_passes
-    spec = cfgmod.dropout_spec(cfg)
-    dist = run_sfp(params, net_config, sample, spec, n, rng_seed=args.seed)
+    dist = run_sfp(params, net_config, sample, cfg.dropout, n, rng_seed=args.seed)
 
     os.makedirs(args.out, exist_ok=True)
     prov = _provenance(args, cfg, {"dataset_sha256": file_sha256(args.data),

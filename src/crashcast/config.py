@@ -1,17 +1,24 @@
 """Key = value run configuration with typed validation and defaults.
 
 The file format is UTF-8 text, one `key = value` per line, `#` comments.
-Every key has a default; unknown keys and type mismatches are rejected with
-their location. Command-line overrides win over file values.
+Every key has a default; command-line overrides win over file values.
+
+Each section is a frozen dataclass; `train` and `dropout` are the engine's
+own TrainConfig and DropoutSpec. Every key is set through
+`dataclasses.replace`, so the section's `__post_init__` rejects a bad value
+at its key and location, as unknown keys and type mismatches are. Checks
+that span keys run once the whole config is read, by building the
+simulator and network objects the commands build. All of it happens at
+parse time, before a command does any work.
 """
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .dropout import DropoutSpec
 from .network import NetworkConfig
-from .sim import CAMERA_ORDER, CameraSpec, WorldConfig, default_cameras
+from .sim import CAMERA_ORDER, ScenarioSpec, WorldConfig, default_cameras
 from .stats import UncertaintyThresholds
 from .training import TrainConfig
 
@@ -29,18 +36,6 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int(text):
-    return int(text.strip())
-
-
-def _parse_float(text):
-    return float(text.strip())
-
-
-def _parse_str(text):
-    return text.strip()
-
-
 def _list_parser(item):
     def parse(text):
         parts = [p.strip() for p in text.split(",") if p.strip()]
@@ -49,7 +44,7 @@ def _list_parser(item):
     return parse
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimSettings:
     dt: float = 0.05
     max_duration: float = 12.0
@@ -67,16 +62,29 @@ class SimSettings:
     delay_window: float = 0.25
     cameras: tuple = CAMERA_ORDER
 
+    def __post_init__(self):
+        if self.episodes_per_scenario < 0:
+            raise ValueError("episodes per scenario must be >= 0")
+        for cam in self.cameras:
+            if cam not in CAMERA_ORDER:
+                raise ValueError(f"unknown camera {cam!r}; choose from {CAMERA_ORDER}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class DataSettings:
     seq_len: int = 5
     window_stride: int = 1
     horizon: float = 5.0
     split: tuple = (0.8, 0.1, 0.1)
 
+    def __post_init__(self):
+        if self.seq_len < 1 or self.window_stride < 1:
+            raise ValueError("window length and stride must be >= 1")
+        if len(self.split) != 3 or min(self.split) < 0 or abs(sum(self.split) - 1.0) > 1e-9:
+            raise ValueError("split must be three non-negative fractions summing to 1")
 
-@dataclass
+
+@dataclass(frozen=True)
 class NetSettings:
     input_mode: str = "images_state_action"
     cameras: tuple = CAMERA_ORDER
@@ -87,27 +95,7 @@ class NetSettings:
     merge_units: int = 32
 
 
-@dataclass
-class DropoutSettings:
-    rate: float = 0.01
-    targets: tuple = ("inputs", "outputs", "recurrent")
-
-
-@dataclass
-class TrainSettings:
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    max_iterations: int = 3000
-    patience: int = 5
-    validation_interval: int = 50
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    dropout_in_training: bool = True
-
-
-@dataclass
+@dataclass(frozen=True)
 class EvalSettings:
     threshold: float = 0.5
     sfp_passes: int = 1000
@@ -119,24 +107,31 @@ class EvalSettings:
     fold_unit: str = "episodes"
     val_fraction: float = 0.1
 
+    def __post_init__(self):
+        if min(self.sfp_passes, self.bins) < 1:
+            raise ValueError("pass and bin counts must be >= 1")
+        if self.fold_k < 2:
+            raise ValueError("k-fold needs k >= 2")
+        if self.fold_unit not in ("episodes", "samples"):
+            raise ValueError("fold unit must be 'episodes' or 'samples'")
+
 
 @dataclass
 class RunConfig:
     sim: SimSettings = field(default_factory=SimSettings)
     data: DataSettings = field(default_factory=DataSettings)
     net: NetSettings = field(default_factory=NetSettings)
-    dropout: DropoutSettings = field(default_factory=DropoutSettings)
-    train: TrainSettings = field(default_factory=TrainSettings)
+    dropout: DropoutSpec = field(default_factory=DropoutSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalSettings = field(default_factory=EvalSettings)
 
     def items(self):
         """Canonical (key, value-as-text) pairs covering every field."""
         out = []
-        for section_name in ("sim", "data", "net", "dropout", "train", "eval"):
-            section = getattr(self, section_name)
+        for s in fields(self):
+            section = getattr(self, s.name)
             for f in fields(section):
-                value = getattr(section, f.name)
-                out.append((f"{section_name}.{f.name}", _canonical(value)))
+                out.append((f"{s.name}.{f.name}", _canonical(getattr(section, f.name))))
         return out
 
     def config_hash(self):
@@ -154,10 +149,11 @@ def _canonical(value):
     return str(value)
 
 
+# int() and float() ignore surrounding whitespace
 _PARSERS = {
-    int: _parse_int,
-    float: _parse_float,
-    str: _parse_str,
+    int: int,
+    float: float,
+    str: str.strip,
     bool: _parse_bool,
 }
 
@@ -167,24 +163,24 @@ def _registry():
     reg = {}
     defaults = RunConfig()
     tuple_items = {
-        "sim.scenarios": _parse_int,
-        "sim.cameras": _parse_str,
-        "data.split": _parse_float,
-        "net.cameras": _parse_str,
-        "net.conv_filters": _parse_int,
-        "net.conv_kernels": _parse_int,
-        "net.conv_strides": _parse_int,
-        "dropout.targets": _parse_str,
+        "sim.scenarios": int,
+        "sim.cameras": str,
+        "data.split": float,
+        "net.cameras": str,
+        "net.conv_filters": int,
+        "net.conv_kernels": int,
+        "net.conv_strides": int,
+        "dropout.targets": str,
     }
-    for section_name in ("sim", "data", "net", "dropout", "train", "eval"):
-        section = getattr(defaults, section_name)
+    for s in fields(defaults):
+        section = getattr(defaults, s.name)
         for f in fields(section):
-            key = f"{section_name}.{f.name}"
+            key = f"{s.name}.{f.name}"
             if isinstance(getattr(section, f.name), tuple):
                 parser = _list_parser(tuple_items[key])
             else:
                 parser = _PARSERS[type(getattr(section, f.name))]
-            reg[key] = (section_name, f.name, parser)
+            reg[key] = (s.name, f.name, parser)
     return reg
 
 
@@ -196,10 +192,10 @@ def _apply(cfg, key, raw, where):
         raise ConfigError(f"unknown configuration key {key!r} at {where}")
     section_name, field_name, parser = REGISTRY[key]
     try:
-        value = parser(raw)
+        section = replace(getattr(cfg, section_name), **{field_name: parser(raw)})
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r} at {where}: {exc}") from None
-    setattr(getattr(cfg, section_name), field_name, value)
+    setattr(cfg, section_name, section)
 
 
 def parse_config(text, overrides=(), source="<config>"):
@@ -234,22 +230,18 @@ def load_config(path=None, overrides=()):
 
 
 def _validate(cfg):
-    if cfg.sim.dt <= 0:
-        raise ConfigError("sim.dt must be positive")
-    if cfg.sim.image_size < 1:
-        raise ConfigError("sim.image_size must be positive")
-    for s in cfg.sim.scenarios:
-        if s not in (1, 2, 3, 4):
-            raise ConfigError(f"sim.scenarios entries must be 1..4, got {s}")
-    for cam in tuple(cfg.sim.cameras) + tuple(cfg.net.cameras):
-        if cam not in CAMERA_ORDER:
-            raise ConfigError(f"unknown camera {cam!r}; choose from {CAMERA_ORDER}")
-    if not (0.0 <= cfg.dropout.rate < 1.0):
-        raise ConfigError("dropout.rate must lie in [0, 1)")
-    if cfg.eval.fold_unit not in ("episodes", "samples"):
-        raise ConfigError("eval.fold_unit must be 'episodes' or 'samples'")
-    if len(cfg.data.split) != 3 or abs(sum(cfg.data.split) - 1.0) > 1e-9:
-        raise ConfigError("data.split must be three fractions summing to 1")
+    """Builds the engine objects the commands build; their checks span keys."""
+    try:
+        # gen-data bisects scenario 1 whatever sim.scenarios holds
+        for sid in (1, *cfg.sim.scenarios):
+            ScenarioSpec(sid, 0.0, cfg.sim.dt, cfg.sim.max_duration)
+        camera_specs(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"bad sim settings: {exc}") from None
+    try:
+        network_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"bad net settings: {exc}") from None
     if not set(cfg.net.cameras) <= set(cfg.sim.cameras):
         raise ConfigError("net.cameras must be a subset of sim.cameras")
 
@@ -271,11 +263,7 @@ def world_config(cfg):
 def camera_specs(cfg):
     fov = math.radians(cfg.sim.fov_deg)
     base = {c.name: c for c in default_cameras(rows=cfg.sim.image_size, cols=cfg.sim.image_size)}
-    return tuple(
-        CameraSpec(name, base[name].mount, base[name].yaw_offset, fov=fov,
-                   rows=cfg.sim.image_size, cols=cfg.sim.image_size)
-        for name in cfg.sim.cameras
-    )
+    return tuple(replace(base[name], fov=fov) for name in cfg.sim.cameras)
 
 
 def network_config(cfg, input_mode=None, cameras=None):
@@ -288,25 +276,9 @@ def network_config(cfg, input_mode=None, cameras=None):
         conv_filters=tuple(cfg.net.conv_filters),
         conv_kernels=tuple(cfg.net.conv_kernels),
         conv_strides=tuple(cfg.net.conv_strides),
-        conv_return_sequences=tuple([True] * (len(cfg.net.conv_filters) - 1) + [False]),
         lstm_units=cfg.net.lstm_units,
         merge_units=cfg.net.merge_units,
     )
-
-
-def train_config(cfg, rng_seed=0):
-    t = cfg.train
-    return TrainConfig(
-        batch_size=t.batch_size, learning_rate=t.learning_rate,
-        max_iterations=t.max_iterations, patience=t.patience,
-        validation_interval=t.validation_interval, optimizer=t.optimizer,
-        beta1=t.beta1, beta2=t.beta2, epsilon=t.epsilon,
-        rng_seed=rng_seed, dropout_in_training=t.dropout_in_training,
-    )
-
-
-def dropout_spec(cfg):
-    return DropoutSpec(rate=cfg.dropout.rate, targets=tuple(cfg.dropout.targets))
 
 
 def uncertainty_thresholds(cfg):

@@ -14,6 +14,10 @@ File format (little-endian):
     magic "DPMD" | version u32 | sample count u64 | L u8 | cameras u8 |
     rows u16 | cols u16 | per sample: label u8, then per frame per camera
     rows*cols image bytes, 9 float32 state values, 1 float32 action.
+
+The camera count n is 1..3, naming the first n of CAMERA_ORDER, and a file
+with samples has a non-zero window length, rows and cols. A header that
+breaks either rule is refused at the offending field's offset.
 """
 
 import csv
@@ -222,6 +226,12 @@ def deserialize_dataset(path, cameras=None):
         raise DatasetFormatError(f"unsupported version {version}", 4)
     (count,) = struct.unpack_from("<Q", blob, 8)
     seq_len, n_cams, rows, cols = struct.unpack_from("<BBHH", blob, 16)
+    if not 1 <= n_cams <= len(CAMERA_ORDER):
+        raise DatasetFormatError(f"camera count must be 1..{len(CAMERA_ORDER)}, got {n_cams}", 17)
+    for name, value, at in (("window length", seq_len, 16), ("rows", rows, 18),
+                             ("cols", cols, 20)):
+        if count and not value:
+            raise DatasetFormatError(f"{name} is 0 in a file of {count} samples", at)
     if cameras is None:
         cameras = tuple(CAMERA_ORDER[:n_cams])
     elif len(cameras) != n_cams:
@@ -235,7 +245,7 @@ def deserialize_dataset(path, cameras=None):
             min(len(blob), expected))
     img_bytes = rows * cols
     frame_bytes = n_cams * img_bytes + 40
-    if count and seq_len:
+    if count:
         # the 9 state values and the action of every frame, as one strided view
         values = np.ndarray((count, seq_len, 10), dtype="<f4", buffer=blob,
                             offset=HEADER_SIZE + 1 + n_cams * img_bytes,

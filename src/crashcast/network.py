@@ -127,7 +127,6 @@ class NetworkConfig:
     conv_filters: tuple = (8, 8)
     conv_kernels: tuple = (3, 3)
     conv_strides: tuple = (1, 2)
-    conv_return_sequences: tuple = (True, False)
     lstm_units: int = 16
     merge_units: int = 32
 
@@ -147,14 +146,17 @@ class NetworkConfig:
         n = len(self.conv_filters)
         if n == 0:
             raise ValueError("need at least one conv layer")
-        if not (len(self.conv_kernels) == len(self.conv_strides) == len(self.conv_return_sequences) == n):
+        if not (len(self.conv_kernels) == len(self.conv_strides) == n):
             raise ValueError("per-layer conv hyperparameter tuples must have equal length")
         if min(self.conv_filters) < 1 or min(self.conv_strides) < 1:
             raise ValueError("conv filter counts and strides must be >= 1")
         if any(k < 1 or k % 2 == 0 for k in self.conv_kernels):
             raise ValueError(f"conv kernels must be odd and >= 1, got {self.conv_kernels}")
-        if self.conv_return_sequences[-1]:
-            raise ValueError("final conv layer must return only the last hidden state")
+
+    @property
+    def conv_return_sequences(self):
+        """Per conv layer: every layer but the last hands its whole sequence on."""
+        return (True,) * (len(self.conv_filters) - 1) + (False,)
 
     @property
     def has_state_branch(self):

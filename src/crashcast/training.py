@@ -1,15 +1,15 @@
 """Mini-batch training with early stopping, evaluation, and k-fold CV.
 
-Everything is deterministic given the seeds: batch order, parameter init,
-and training-time dropout masks all derive from TrainConfig.rng_seed through
-the same avalanche mixer used for stochastic forward passes. Fold training
-runs are independent and can execute in parallel worker processes; each fold
-fit runs with OpenBLAS pinned to one thread, so fold results do not depend on
-the worker count or on the inherited BLAS thread setting.
+Everything is deterministic given the seeds: batch order and training-time
+dropout masks derive from the rng_seed argument of train(), and run_kfold
+derives every fold's seeds from its own, through the same avalanche mixer
+used for stochastic forward passes. Fold training runs are independent and
+can execute in parallel worker processes; each fold fit runs with OpenBLAS
+pinned to one thread, so fold results do not depend on the worker count or
+on the inherited BLAS thread setting.
 """
 
 import ctypes
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -36,7 +36,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    rng_seed: int = 0
     dropout_in_training: bool = True
 
     def __post_init__(self):
@@ -106,7 +105,7 @@ def _mean_val_loss(params, net_config, valset, chunk=64):
     return total / len(valset)
 
 
-def train(params, net_config, config, trainset, valset, dropout_spec=None):
+def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_seed=0):
     """Train to max iterations or early stop; returns the best checkpoint.
 
     The input parameter object is not mutated; training works on a copy and
@@ -134,7 +133,7 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None):
     epoch = 0
     for iteration in range(1, config.max_iterations + 1):
         if len(order) < config.batch_size:
-            rng = np.random.default_rng(mix64(config.rng_seed, 1_000_000 + epoch))
+            rng = np.random.default_rng(mix64(rng_seed, 1_000_000 + epoch))
             order = list(rng.permutation(len(trainset)))
             epoch += 1
         take, order = order[: config.batch_size], order[config.batch_size :]
@@ -143,7 +142,7 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None):
         masks = None
         if use_dropout:
             masks = sample_masks(dropout_spec, params,
-                                 mix64(mix64(config.rng_seed, 7), iteration)).masks
+                                 mix64(mix64(rng_seed, 7), iteration)).masks
         loss, grads = dpm_gradients(params, net_config, batch, labels, masks)
         report.losses.append((iteration, loss))
         params, state = apply_update(params, grads, state, config)
@@ -248,8 +247,8 @@ def _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
     valset = [samples[i] for i in val_idx]
     testset = [samples[i] for i in test_idx]
     params = init_params(net_config, seed=mix64(rng_seed, fold))
-    fold_config = dataclasses.replace(config, rng_seed=mix64(rng_seed, 100 + fold))
-    trained, _report = train(params, net_config, fold_config, trainset, valset, dropout_spec)
+    trained, _report = train(params, net_config, config, trainset, valset, dropout_spec,
+                             rng_seed=mix64(rng_seed, 100 + fold))
     _preds, counts = evaluate(trained, net_config, testset)
     return FoldResult(fold=fold, accuracy=accuracy_of(counts), mcc=mcc_of(counts), counts=counts)
 

@@ -50,7 +50,7 @@ def test_criterion_1_gradient_correctness():
         input_mode="images_state_action", cameras=("dashcam",),
         image_rows=6, image_cols=6, seq_len=3,
         conv_filters=(2, 2), conv_kernels=(3, 3), conv_strides=(1, 2),
-        conv_return_sequences=(True, False), lstm_units=3, merge_units=4,
+        lstm_units=3, merge_units=4,
     )
     params = init_params(config, seed=41)
     rng = np.random.default_rng(42)
@@ -186,7 +186,7 @@ def _tiny_net():
         input_mode="images_state_action", cameras=("dashcam",),
         image_rows=8, image_cols=8, seq_len=5,
         conv_filters=(2, 2), conv_kernels=(3, 3), conv_strides=(1, 2),
-        conv_return_sequences=(True, False), lstm_units=4, merge_units=6,
+        lstm_units=4, merge_units=6,
     )
     return config, init_params(config, seed=11)
 
@@ -344,8 +344,8 @@ def test_criterion_10_reproducibility_formats_overfit(tmp_path):
         s.label = i % 2
     tc = TrainConfig(batch_size=10, learning_rate=5e-3, max_iterations=500,
                      patience=10**6, validation_interval=10**6,
-                     dropout_in_training=False, rng_seed=5)
-    trained, report = train(params, config, tc, trainset, [])
+                     dropout_in_training=False)
+    trained, report = train(params, config, tc, trainset, [], rng_seed=5)
     _preds, counts = evaluate(trained, config, trainset)
     train_acc = (counts.tp + counts.tn) / counts.total
     assert report.final_iteration <= 500

@@ -12,11 +12,9 @@ from crashcast.config import (
     ConfigError,
     RunConfig,
     camera_specs,
-    dropout_spec,
     load_config,
     network_config,
     parse_config,
-    train_config,
     world_config,
 )
 from crashcast.network import dpm_forward, init_params
@@ -52,7 +50,7 @@ data.split = 0.6,0.2,0.2
 
 def test_parse_example_dropout_rate():
     cfg = parse_config("dropout.rate = 0.01")
-    assert dropout_spec(cfg).rate == 0.01
+    assert cfg.dropout.rate == 0.01
 
 
 def test_unknown_key_reports_line():
@@ -82,6 +80,33 @@ def test_semantic_validation():
         parse_config("this is not a key value line")
 
 
+# each must fail at parse time, naming its key, or its section where the
+# simulator or network objects built from several keys reject it
+BAD_SETTINGS = [
+    ("train.batch_size=0", "'train.batch_size'"),
+    ("train.optimizer=foo", "'train.optimizer'"),
+    ("train.patience=0", "'train.patience'"),
+    ("dropout.targets=foo", "'dropout.targets'"),
+    ("net.input_mode=bogus", "bad net settings"),
+    ("net.conv_kernels=2", "bad net settings"),
+    ("sim.fov_deg=200", "bad sim settings"),
+    ("data.seq_len=0", "'data.seq_len'"),
+    ("data.window_stride=0", "'data.window_stride'"),
+    ("eval.fold_k=1", "'eval.fold_k'"),
+    ("eval.bins=0", "'eval.bins'"),
+]
+
+
+@pytest.mark.parametrize("setting, names", BAD_SETTINGS, ids=[s for s, _ in BAD_SETTINGS])
+def test_bad_value_rejected_at_parse_time(setting, names):
+    key = setting.split("=")[0]
+    with pytest.raises(ConfigError) as err:
+        parse_config(setting.replace("=", " = "), source="conf.txt")
+    assert names in str(err.value)
+    if key in names:
+        assert "conf.txt:1" in str(err.value)
+
+
 def test_config_hash_stable_and_sensitive():
     a = parse_config("")
     b = parse_config("# only a comment")
@@ -107,8 +132,7 @@ def test_engine_conversions():
     assert net.input_mode == "images_only"
     assert net.image_rows == 16
     assert net.conv_return_sequences == (True, False)
-    tc = train_config(cfg, rng_seed=7)
-    assert tc.rng_seed == 7 and tc.optimizer == "adam"
+    assert cfg.train.optimizer == "adam"
 
 
 # --- checkpoint format ---------------------------------------------------------
@@ -182,6 +206,8 @@ def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
         ({20: 3}, 38),          # a valid config whose first tensor record disagrees
         ({24: 2}, 24),          # return-sequences flags are 0 or 1
         ({29: 255}, 29),
+        ({24: 0}, 24),          # every layer but the last returns sequences
+        ({29: 1}, 29),          # the last layer does not
     ]
     for i, (edit, offset) in enumerate(edits):
         blob = bytearray(path.read_bytes())
@@ -279,6 +305,51 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     rc = run_cli("gen-data", "--out", str(tmp_path / "x.dpmd"), "--set", "bogus.key=1")
     assert rc == 1
     assert "bogus.key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("inspect", "--data", "d.dpmd"),
+    ("train", "--data", "d.dpmd", "--out", "m.dpmw"),
+    ("eval", "--data", "d.dpmd", "--model", "m.dpmw"),
+    ("predict", "--data", "d.dpmd", "--model", "m.dpmw", "--index", "0", "--out", "p"),
+    ("anova", "--folds", "f.csv"),
+], ids=lambda argv: argv[0])
+def test_cli_jobs_is_a_usage_error_where_nothing_runs_in_parallel(argv, capsys):
+    assert run_cli(*argv, "--jobs", "3") == 1
+    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def predict_inputs(tmp_path_factory):
+    """A small dataset and an untrained checkpoint that fits it."""
+    root = tmp_path_factory.mktemp("inputs")
+    data, model = root / "d.dpmd", root / "m.dpmw"
+    assert run_cli("gen-data", "--seed", "3", "--out", str(data), *FAST_GEN) == 0
+    net_config = network_config(parse_config("sim.image_size = 8"))
+    save_checkpoint(model, net_config, init_params(net_config, seed=1))
+    return data, model
+
+
+# predict is the command that reads eval.bins
+CLI_BAD_SETTINGS = ([("gen-data", s, n) for s, n in BAD_SETTINGS if s != "eval.bins=0"]
+                    + [("predict", "eval.bins=0", "'eval.bins'")])
+
+
+@pytest.mark.parametrize("command, setting, names", CLI_BAD_SETTINGS,
+                         ids=[f"{c}-{s}" for c, s, _ in CLI_BAD_SETTINGS])
+def test_cli_bad_value_exits_1_before_any_work(tmp_path, capsys, predict_inputs,
+                                               command, setting, names):
+    if command == "gen-data":
+        argv = ["gen-data", "--out", str(tmp_path / "x.dpmd"), *FAST_GEN]
+    else:
+        data, model = predict_inputs
+        argv = ["predict", "--data", str(data), "--model", str(model), "--index", "0",
+                "--sfp", "2", "--out", str(tmp_path / "pred")]
+    capsys.readouterr()
+    assert run_cli(*argv, "--set", setting) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and names in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_data_errors_exit_2(tmp_path, capsys):

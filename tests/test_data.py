@@ -1,5 +1,7 @@
 """Dataset pipeline tests: truncation, windowing, folding, and the file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from crashcast.data import (
     write_meta,
 )
 from crashcast.cli import _gen_episode
+from crashcast.cli import main as cli_main
 from crashcast.sim import ScenarioSpec, WorldConfig, default_cameras, run_scenario
 
 
@@ -246,6 +249,54 @@ def test_deserialize_rejects_non_finite_values(tmp_path, field, value):
     with pytest.raises(DatasetFormatError) as err:
         deserialize_dataset(path)
     assert err.value.offset == frame
+
+
+def _dpmd_bytes(count, seq_len, n_cams, rows, cols):
+    """A file whose size agrees with its header: labels 1, zero pixels and values."""
+    header = b"DPMD" + struct.pack("<IQBBHH", 1, count, seq_len, n_cams, rows, cols)
+    frame = bytes(n_cams * rows * cols + 40)
+    return header + count * (b"\x01" + seq_len * frame)
+
+
+@pytest.mark.parametrize("header, offset", [
+    ((1, 1, 4, 2, 2), 17),   # more cameras than CAMERA_ORDER names
+    ((1, 1, 0, 2, 2), 17),   # no cameras
+    ((0, 1, 0, 2, 2), 17),
+    ((1, 0, 3, 2, 2), 16),   # zero window length
+    ((1, 1, 3, 0, 2), 18),   # zero rows
+    ((1, 1, 3, 2, 0), 20),   # zero cols
+], ids=["cams4", "cams0", "cams0_empty", "len0", "rows0", "cols0"])
+def test_deserialize_rejects_impossible_header(tmp_path, capsys, header, offset):
+    path = tmp_path / "h.dpmd"
+    path.write_bytes(_dpmd_bytes(*header))
+    with pytest.raises(DatasetFormatError) as err:
+        deserialize_dataset(path)
+    assert err.value.offset == offset
+    assert cli_main(["inspect", "--data", str(path)]) == 2
+    assert f"byte offset {offset}" in capsys.readouterr().err
+
+
+def test_dataset_byte_fuzz_raises_typed_error_or_reloads_exactly(tmp_path):
+    rng = np.random.default_rng(707)
+    path = tmp_path / "d.dpmd"
+    serialize_dataset(fake_samples(rng, 2, seq_len=2, cams=2, rows=3, cols=3), path)
+    clean = path.read_bytes()
+    header_and_first_sample = HEADER_SIZE + sample_byte_size(2, 2, 3, 3)
+    cases = [clean[:n] for n in range(len(clean))]
+    for _ in range(400):
+        at = int(rng.integers(0, header_and_first_sample))
+        blob = bytearray(clean)
+        blob[at] = (blob[at] + int(rng.integers(1, 256))) % 256
+        cases.append(bytes(blob))
+    bad, resaved = tmp_path / "bad.dpmd", tmp_path / "resaved.dpmd"
+    for case in cases:
+        bad.write_bytes(case)
+        try:
+            dataset = deserialize_dataset(bad)
+        except DatasetFormatError:
+            continue
+        serialize_dataset(dataset.samples, resaved)
+        assert resaved.read_bytes() == case
 
 
 def test_quantize_image_stable_fixed_points():

@@ -239,7 +239,6 @@ def tiny_config(input_mode="images_state_action", cameras=("dashcam",), rows=4, 
         conv_filters=(2, 2),
         conv_kernels=(3, 3),
         conv_strides=strides,
-        conv_return_sequences=(True, False),
         lstm_units=3,
         merge_units=4,
     )

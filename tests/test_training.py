@@ -107,9 +107,9 @@ def test_train_early_stops_when_validation_cannot_improve():
     import copy
     valset = _labelled([copy.deepcopy(s) for s in trainset], [0, 0])
     tc = TrainConfig(batch_size=2, learning_rate=0.05, max_iterations=200,
-                     patience=1, validation_interval=5, rng_seed=1,
+                     patience=1, validation_interval=5,
                      dropout_in_training=False)
-    best, report = train(params, config, tc, trainset, valset)
+    best, report = train(params, config, tc, trainset, valset, rng_seed=1)
     assert report.stop_reason == "early_stop"
     assert report.final_iteration == 5
     assert report.best_iteration == 0
@@ -125,9 +125,9 @@ def test_train_returns_best_checkpoint_not_last():
     trainset = make_samples(rng, config, 8)
     valset = make_samples(rng, config, 4)
     tc = TrainConfig(batch_size=4, learning_rate=0.02, max_iterations=60,
-                     patience=3, validation_interval=10, rng_seed=2,
+                     patience=3, validation_interval=10,
                      dropout_in_training=False)
-    best, report = train(params, config, tc, trainset, valset)
+    best, report = train(params, config, tc, trainset, valset, rng_seed=2)
     from crashcast.training import _mean_val_loss
     got = _mean_val_loss(best, config, valset)
     recorded_best = min(v for _, v in report.val_losses)
@@ -140,10 +140,10 @@ def test_train_is_deterministic_without_dropout():
     trainset = make_samples(rng, config, 6)
     valset = make_samples(rng, config, 3)
     tc = TrainConfig(batch_size=3, learning_rate=0.01, max_iterations=20,
-                     patience=5, validation_interval=10, rng_seed=3,
+                     patience=5, validation_interval=10,
                      dropout_in_training=False)
-    p1, r1 = train(init_params(config, seed=8), config, tc, trainset, valset)
-    p2, r2 = train(init_params(config, seed=8), config, tc, trainset, valset)
+    p1, r1 = train(init_params(config, seed=8), config, tc, trainset, valset, rng_seed=3)
+    p2, r2 = train(init_params(config, seed=8), config, tc, trainset, valset, rng_seed=3)
     for name, t in p1.tensors().items():
         assert (t == p2.tensors()[name]).all()
     assert r1.losses == r2.losses
@@ -185,8 +185,8 @@ def test_overfit_tiny_trainset():
         s.label = i % 2
     tc = TrainConfig(batch_size=10, learning_rate=5e-3, max_iterations=500,
                      patience=10**6, validation_interval=10**6,
-                     dropout_in_training=False, rng_seed=4)
-    trained, _ = train(params, config, tc, trainset, [])
+                     dropout_in_training=False)
+    trained, _ = train(params, config, tc, trainset, [], rng_seed=4)
     _, counts = evaluate(trained, config, trainset)
     from crashcast.stats import accuracy_of
     assert accuracy_of(counts) == 1.0
