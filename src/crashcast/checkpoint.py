@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .network import INPUT_MODES, NetworkConfig, param_shapes, params_from_tensors
+from .network import INPUT_MODES, NetworkConfig, NetworkParams, param_shapes
 from .sim import CAMERA_ORDER
 
 MAGIC = b"DPMW"
@@ -164,5 +164,6 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"missing tensors: {missing[:3]}", offset)
     if offset != len(blob):
         raise CheckpointFormatError("trailing bytes after the last tensor", offset)
-    # every tensor matched a record of the file, so this copies no more than it holds
-    return config, params_from_tensors(config, {n: t.copy() for n, t in values.items()})
+    # every tensor matched a record of the file, so this copies no more than it holds;
+    # param_shapes order is the canonical one, whatever order the records came in
+    return config, NetworkParams({n: values[n].copy() for n in shapes})

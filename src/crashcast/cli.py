@@ -49,10 +49,20 @@ INPUT_MODE_SWEEP = ("images_only", "images_state", "images_state_action")
 
 
 class _Parser(argparse.ArgumentParser):
+    commands = {}  # subcommand name -> its parser, on the root parser
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def parse_args(self, args=None, namespace=None):
+        # a subcommand's unknown options reach the root parser, whose usage
+        # does not show that subcommand's options: report them on the subcommand
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
 
 
 def _add_common(p):
@@ -66,6 +76,7 @@ def build_parser():
     parser = _Parser(prog="crashcast",
                      description="collision-risk prediction: simulate, train, analyze")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("gen-data", help="simulate episodes and write a dataset file")
     _add_common(p)

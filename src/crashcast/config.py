@@ -108,6 +108,10 @@ class EvalSettings:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError("validation fraction must lie in [0, 1)")
         if min(self.sfp_passes, self.bins) < 1:
             raise ValueError("pass and bin counts must be >= 1")
         if self.fold_k < 2:

@@ -213,7 +213,7 @@ def serialize_dataset(samples, path):
         fh.write(buf)
 
 
-def deserialize_dataset(path, cameras=None):
+def deserialize_dataset(path):
     """Read a DPMD file back into Frames/SequenceSamples (bit-exact round trip)."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -232,11 +232,7 @@ def deserialize_dataset(path, cameras=None):
                              ("cols", cols, 20)):
         if count and not value:
             raise DatasetFormatError(f"{name} is 0 in a file of {count} samples", at)
-    if cameras is None:
-        cameras = tuple(CAMERA_ORDER[:n_cams])
-    elif len(cameras) != n_cams:
-        raise DatasetFormatError(
-            f"file stores {n_cams} cameras but {len(cameras)} names were given", 17)
+    cameras = CAMERA_ORDER[:n_cams]
     per_sample = sample_byte_size(seq_len, n_cams, rows, cols)
     expected = HEADER_SIZE + count * per_sample
     if len(blob) != expected:
@@ -277,8 +273,8 @@ def deserialize_dataset(path, cameras=None):
             frames.append(Frame(images=tuple(images), state=state, action=float(action)))
         # episode identity is not part of the format; -1 means unknown (see sidecar)
         samples.append(SequenceSample(frames=frames, label=int(label), episode_id=-1,
-                                      window_start=-1, cameras=tuple(cameras)))
-    return Dataset(samples=samples, cameras=tuple(cameras), seq_len=seq_len,
+                                      window_start=-1, cameras=cameras))
+    return Dataset(samples=samples, cameras=cameras, seq_len=seq_len,
                    rows=rows, cols=cols)
 
 

@@ -11,7 +11,6 @@ Pass seeds derive from the run seed through a splitmix64-style avalanche
 mixer, so distributions are reproducible and individual passes independent.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,10 +104,3 @@ def run_sfp(params, config, sample, spec, n, rng_seed):
     )
     return PredictiveDistribution(samples=values)
 
-
-def write_distribution_csv(dist, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pass_index", "p_collision"])
-        for i, p in enumerate(dist.samples):
-            writer.writerow([i, repr(p)])

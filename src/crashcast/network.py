@@ -17,103 +17,27 @@ where * is a same-padded convolution, . is elementwise, and the output
 gate peeks at the NEW cell state. Dropout masks multiply weight tensors
 elementwise and are held fixed across all time steps of one pass.
 
-All layers, the vector LSTM included (as a 1x1 layer), run on one
-channels-first core (see the section comment below): convolutions are
-im2col + matmul, and the input-to-gate term of a layer is computed for the
-whole sequence in one matrix product. Training, evaluation and the
-single-sample wrappers all go through it; the parameters and the branch
-outputs keep their layouts. The test suite checks each step against a
-straight-line transcription of the gate equations built from the
-exact-order kernel ops, and all gradients against central differences.
+The parameters are one name -> array map (`cam.dashcam.l0.w_xi`, `lstm.b_f`,
+`head.w_out`, ...) in param_shapes order; checkpoints, gradients, dropout
+masks and the optimizer state use the same names. All layers, the vector
+LSTM included (as a 1x1 layer), run on one channels-first core (see the
+section comment below): convolutions are im2col + matmul, and the
+input-to-gate term of a layer is computed for the whole sequence in one
+matrix product. The test suite checks each step against a straight-line
+transcription of the gate equations built from exact-order oracle ops, and
+all gradients against central differences.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import sigmoid
 from .sim import CAMERA_ORDER
 
 GATES = ("i", "f", "c", "o")
 
 INPUT_MODES = ("images_only", "images_state", "images_state_action")
-
-
-# --- parameter containers ---------------------------------------------------
-
-@dataclass
-class ConvLstmLayer:
-    """One convolutional-recurrent layer; kernels (m, n, c_in, p), peepholes (q', r', p)."""
-
-    w_xi: np.ndarray
-    w_hi: np.ndarray
-    w_xf: np.ndarray
-    w_hf: np.ndarray
-    w_xc: np.ndarray
-    w_hc: np.ndarray
-    w_xo: np.ndarray
-    w_ho: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-    stride: int = 1
-    return_sequences: bool = True
-
-    @property
-    def filters(self):
-        return self.w_xi.shape[3]
-
-    def validate(self):
-        m, n, c_in, p = self.w_xi.shape
-        for name in ("w_xi", "w_xf", "w_xc", "w_xo"):
-            if getattr(self, name).shape != (m, n, c_in, p):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("w_hi", "w_hf", "w_hc", "w_ho"):
-            if getattr(self, name).shape != (m, n, p, p):
-                raise ValueError(f"{name} must convolve the p-channel hidden state")
-        qr = self.w_ci.shape
-        for name in ("w_ci", "w_cf", "w_co"):
-            if getattr(self, name).shape != qr or qr[2] != p:
-                raise ValueError(f"{name} peephole shape mismatch")
-        for name in ("b_i", "b_f", "b_c", "b_o"):
-            if getattr(self, name).shape != (p,):
-                raise ValueError(f"{name} must have one entry per filter")
-
-
-@dataclass
-class LstmLayer:
-    """Vector LSTM, the 1x1 ConvLSTM; kernels (u, d) and (u, u), peepholes (u,)."""
-
-    w_xi: np.ndarray
-    w_hi: np.ndarray
-    w_xf: np.ndarray
-    w_hf: np.ndarray
-    w_xc: np.ndarray
-    w_hc: np.ndarray
-    w_xo: np.ndarray
-    w_ho: np.ndarray
-    w_ci: np.ndarray
-    w_cf: np.ndarray
-    w_co: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-
-@dataclass
-class DenseHead:
-    """Merge dense (relu) into the 2-way output layer (softmax)."""
-
-    w_merge: np.ndarray
-    b_merge: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -195,44 +119,23 @@ class NetworkConfig:
 
 @dataclass
 class NetworkParams:
-    branches: dict          # camera name -> list[ConvLstmLayer]
-    lstm: "LstmLayer | None"
-    head: DenseHead
+    """Every tensor of the network by name, in param_shapes order (the DPMW
+    record order and the dropout-mask draw order)."""
+
+    arrays: dict
 
     def tensors(self):
-        """Live name -> array view of every tensor, in DPMW record and mask-draw order."""
-        out = {}
-        for cam, layers in self.branches.items():
-            for li, layer in enumerate(layers):
-                out.update((f"cam.{cam}.l{li}.{f}", w) for f, w in _layer_tensors(layer).items())
-        if self.lstm is not None:
-            out.update((f"lstm.{f}", w) for f, w in _layer_tensors(self.lstm).items())
-        out["head.w_merge"] = self.head.w_merge
-        out["head.b_merge"] = self.head.b_merge
-        out["head.w_out"] = self.head.w_out
-        out["head.b_out"] = self.head.b_out
-        return out
+        """The live name -> array map: in-place edits reach the forward pass."""
+        return self.arrays
 
     def copy(self):
-        def copied(layer):
-            return replace(layer, **{f: w.copy() for f, w in _layer_tensors(layer).items()})
-
-        new_branches = {cam: [copied(l) for l in layers] for cam, layers in self.branches.items()}
-        new_lstm = None if self.lstm is None else copied(self.lstm)
-        new_head = DenseHead(self.head.w_merge.copy(), self.head.b_merge.copy(),
-                             self.head.w_out.copy(), self.head.b_out.copy())
-        return NetworkParams(new_branches, new_lstm, new_head)
+        return NetworkParams({name: t.copy() for name, t in self.arrays.items()})
 
 
 _CONV_TENSOR_FIELDS = tuple(
     [f"w_{k}{g}" for g in GATES for k in "xh"]
     + [f"w_c{g}" for g in ("i", "f", "o")] + [f"b_{g}" for g in GATES]
 )
-
-
-def _layer_tensors(layer):
-    """Field name -> array of one recurrent layer, in record order."""
-    return {f: getattr(layer, f) for f in _CONV_TENSOR_FIELDS}
 
 
 def param_shapes(config):
@@ -284,20 +187,6 @@ def _glorot_fans(shape):
     return shape[-1], shape[-1]
 
 
-def params_from_tensors(config, tensors):
-    """NetworkParams holding the arrays of a param_shapes-named dict (not copied)."""
-    def fields(prefix):
-        return {f: tensors[f"{prefix}.{f}"] for f in _CONV_TENSOR_FIELDS}
-
-    branches = {cam: [ConvLstmLayer(stride=s, return_sequences=rs, **fields(f"cam.{cam}.l{li}"))
-                      for li, (s, rs) in enumerate(zip(config.conv_strides,
-                                                       config.conv_return_sequences))]
-                for cam in config.cameras}
-    lstm = LstmLayer(**fields("lstm")) if config.has_state_branch else None
-    head = DenseHead(*(tensors[f"head.{f}"] for f in ("w_merge", "b_merge", "w_out", "b_out")))
-    return NetworkParams(branches, lstm, head)
-
-
 def init_params(config, seed=0):
     """Glorot-uniform weights, zero biases except forget gate at +1."""
     rng = np.random.default_rng(seed)
@@ -308,7 +197,7 @@ def init_params(config, seed=0):
             tensors[name] = np.full(shape, 1.0 if field == "b_f" else 0.0)
         else:
             tensors[name] = _glorot(rng, shape, *_glorot_fans(shape))
-    return params_from_tensors(config, tensors)
+    return NetworkParams(tensors)
 
 
 # --- channels-first ConvLSTM core ------------------------------------------
@@ -361,7 +250,7 @@ def _repad(x, pad, want):
 
 
 def _kernel_pad(layer):
-    m, n = layer.w_xi.shape[:2]
+    m, n = layer["w_xi"].shape[:2]
     return m // 2, n // 2
 
 
@@ -370,8 +259,24 @@ def _channels_last(x):
     return np.ascontiguousarray(x.transpose(1, 2, 3, 0))
 
 
+def _layer(tensors, prefix):
+    """Field -> array map of the recurrent layer `prefix` of a name -> array map.
+
+    A layer is what the core takes: kernels (m, n, c_in, p), peepholes
+    (q', r', p) and biases (p,). The vector LSTM's (u, d) and (u, u) kernels
+    and (u,) peepholes are seen as that 1x1 layer through views, so applied
+    to a gradient map, the core's += reaches the named arrays.
+    """
+    layer = {f: tensors[f"{prefix}.{f}"] for f in _CONV_TENSOR_FIELDS}
+    if layer["w_xi"].ndim == 2:
+        for f, w in layer.items():
+            if f.startswith("w_"):
+                layer[f] = w[None, None] if w.ndim == 1 else w.T[None, None]
+    return layer
+
+
 def _stack_gate_kernels(layer, prefix):
-    ws = [getattr(layer, f"{prefix}{g}") for g in GATES]
+    ws = [layer[f"{prefix}{g}"] for g in GATES]
     m, n, c, p = ws[0].shape
     return np.concatenate(ws, axis=3).reshape(m * n * c, 4 * p)
 
@@ -380,25 +285,36 @@ def _peepholes(layer):
     """Peepholes (q', r', p) as channels-first (p, 1, q'r') broadcast operands."""
     out = []
     for g in ("i", "f", "o"):
-        w = getattr(layer, f"w_c{g}")
+        w = layer[f"w_c{g}"]
         out.append(np.ascontiguousarray(w.transpose(2, 0, 1)).reshape(w.shape[2], 1, -1))
     return out
 
 
-def _masked_layer(layer, masks):
-    if not masks:
-        return layer
-    updates = {}
-    for fname, mask in masks.items():
-        updates[fname] = getattr(layer, fname) * mask
-    return replace(layer, **updates)
+def sigmoid(x, out=None):
+    """Numerically stable logistic function, optionally written into `out`.
+
+    With e = exp(-|x|) this is where(x >= 0, 1, e) / (1 + e): 1 / (1 + exp(-x))
+    for x >= 0 and exp(x) / (1 + exp(x)) below, bit for bit, with no boolean
+    mask. The numerator is formed as exp(min(x, 0)), which equals
+    where(x >= 0, 1, e) exactly and is cheaper than a select. `out` may be x
+    itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    den = np.copysign(x, -1.0, out=np.empty_like(x))  # -|x|
+    np.exp(den, out=den)
+    den += 1.0
+    num = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(num, out=num)
+    num /= den
+    return num
 
 
 @dataclass
 class _LayerRun:
     """One layer's pass over a sequence, holding what its backward needs."""
 
-    layer: ConvLstmLayer
+    layer: dict         # field -> array, as _layer gives it
+    stride: int
     wx: np.ndarray      # stacked input kernels and biases (m*n*c + 1, 4p)
     wh: np.ndarray      # stacked recurrent kernels (m*n*p, 4p)
     in_shape: tuple     # padded input (c, L, B, H+2a, W+2b)
@@ -418,34 +334,29 @@ class _LayerRun:
         q, r = self.out_dims
         return self.hs[:, t, :, a : a + q, b : b + r]
 
-    def cell(self, t):
-        p, _, batch, _ = self.cs.shape
-        return self.cs[:, t].reshape(p, batch, *self.out_dims)
-
 
 # The step loops below run every elementwise operation in place on
 # preallocated (p, B, q'r') work arrays: at training batch sizes a fresh
 # temporary per operation costs more than the arithmetic. Each group of
 # calls is annotated with the expression it evaluates.
 
-def _layer_forward(layer, xp, h0=None, c0=None, hook=None, keep_cols=False):
-    """Runs one ConvLSTM layer over a padded channels-first sequence.
+def _layer_forward(layer, xp, stride=1, h0=None, c0=None, hook=None, keep_cols=False):
+    """Runs one ConvLSTM layer (a _layer map) over a padded channels-first sequence.
 
     xp: (c, L, B, H+2a, W+2b) with a, b = m//2, n//2; h0, c0: optional
     (p, B, q', r') initial states, zero when omitted. hook(t), when given,
     is called before step t. keep_cols keeps the input columns for a backward.
     """
-    m, n, _, p = layer.w_xi.shape
+    m, n, _, p = layer["w_xi"].shape
     a, b = m // 2, n // 2
     _, length, batch, hp, wp = xp.shape
-    s = layer.stride
-    q, r = -(-(hp - 2 * a) // s), -(-(wp - 2 * b) // s)
+    q, r = -(-(hp - 2 * a) // stride), -(-(wp - 2 * b) // stride)
     # the biases ride in the input GEMM as one more kernel row against a row of ones
     wx = np.vstack([_stack_gate_kernels(layer, "w_x"),
-                    np.concatenate([getattr(layer, f"b_{g}") for g in GATES])])
+                    np.concatenate([layer[f"b_{g}"] for g in GATES])])
     wh = _stack_gate_kernels(layer, "w_h")
     col_x = np.empty((m * n * xp.shape[0] + 1, length * batch * q * r))
-    _im2col(xp, m, n, s, q, r, col_x[:-1])
+    _im2col(xp, m, n, stride, q, r, col_x[:-1])
     col_x[-1] = 1.0
     gates = (wx.T @ col_x).reshape(4, p, length, batch, q * r)
     if not keep_cols:
@@ -483,23 +394,23 @@ def _layer_forward(layer, xp, h0=None, c0=None, hook=None, keep_cols=False):
         np.tanh(c_new, out=tmp[0])
         mul(go.reshape(p, batch, q, r), tmp[0].reshape(p, batch, q, r),
             out=hs[:, t + 1, :, a : a + q, b : b + r])   # h = o . tanh(c_new)
-    return _LayerRun(layer, wx, wh, xp.shape, col_x, gates, hs, cs)
+    return _LayerRun(layer, stride, wx, wh, xp.shape, col_x, gates, hs, cs)
 
 
-def _layer_backward(run, dh_out, grads, prefix, need_dx):
-    """BPTT through one layer run, accumulating its parameter gradients.
+def _layer_backward(run, dh_out, grads, need_dx):
+    """BPTT through one layer run, adding its parameter gradients into `grads`,
+    the layer's field -> array map of the gradient (see _layer).
 
     dh_out: (p, L', B, q', r') gradient w.r.t. the layer's last L' hidden
     states (L' = L when it returns sequences, else 1). Returns the gradient
     w.r.t. its unpadded input (c, L, B, H, W), or None unless need_dx.
     The run's gate buffer is overwritten with dz.
     """
-    layer = run.layer
-    m, n, c_in, p = layer.w_xi.shape
+    m, n, c_in, p = run.layer["w_xi"].shape
     a, b = m // 2, n // 2
     length, batch = run.cs.shape[1] - 1, run.cs.shape[2]
     q, r = run.out_dims
-    w_ci, w_cf, w_co = _peepholes(layer)
+    w_ci, w_cf, w_co = _peepholes(run.layer)
     gates = run.gates
     col_h = np.empty((m * n * p, batch * q * r))
     dcol_h = np.empty((m * n * p, batch * q * r))
@@ -563,18 +474,18 @@ def _layer_backward(run, dh_out, grads, prefix, need_dx):
     dwx = dwx[:-1].reshape(m, n, c_in, 4, p)
     dwh = dwh.reshape(m, n, p, 4, p)
     for k, g in enumerate(GATES):
-        grads[f"{prefix}.b_{g}"] += db[k]
-        grads[f"{prefix}.w_x{g}"] += dwx[:, :, :, k]
-        grads[f"{prefix}.w_h{g}"] += dwh[:, :, :, k]
+        grads[f"b_{g}"] += db[k]
+        grads[f"w_x{g}"] += dwx[:, :, :, k]
+        grads[f"w_h{g}"] += dwh[:, :, :, k]
     dz_i, dz_f, _, dz_o = gates
     for g, dzg, cell in (("i", dz_i, run.cs[:, :-1]), ("f", dz_f, run.cs[:, :-1]),
                          ("o", dz_o, run.cs[:, 1:])):
         dpeep = np.einsum("plbk,plbk->pk", dzg, cell).reshape(p, q, r)
-        grads[f"{prefix}.w_c{g}"] += dpeep.transpose(1, 2, 0)
+        grads[f"w_c{g}"] += dpeep.transpose(1, 2, 0)
     if not need_dx:
         return None
     hp, wp = run.in_shape[3:]
-    dxp = _col2im(run.wx[:-1] @ dz_all, np.zeros(run.in_shape), m, n, layer.stride, q, r)
+    dxp = _col2im(run.wx[:-1] @ dz_all, np.zeros(run.in_shape), m, n, run.stride, q, r)
     return dxp[..., a : hp - a, b : wp - b]
 
 
@@ -583,85 +494,7 @@ def _core_input(x, layer):
     return _repad(x.transpose(4, 1, 0, 2, 3), (0, 0), _kernel_pad(layer))
 
 
-def convlstm_step(layer, x, h_prev, c_prev, masks=None):
-    """Single-sample gate-equation step: x (q, r, c_in), h/c (q', r', p)."""
-    layer = _masked_layer(layer, masks)
-    _check_step_shapes(layer, x, h_prev, c_prev)
-    run = _layer_forward(layer, _core_input(x[None, None], layer),
-                         h_prev.transpose(2, 0, 1)[:, None], c_prev.transpose(2, 0, 1)[:, None])
-    return _channels_last(run.hidden(1))[0], _channels_last(run.cell(1))[0]
-
-
-def _check_step_shapes(layer, x, h_prev, c_prev):
-    layer.validate()
-    m, n, c_in, p = layer.w_xi.shape
-    if x.ndim != 3 or x.shape[2] != c_in:
-        raise ValueError(f"input must be (q, r, {c_in}), got {x.shape}")
-    oq = -(-x.shape[0] // layer.stride)
-    orr = -(-x.shape[1] // layer.stride)
-    if h_prev.shape != (oq, orr, p) or c_prev.shape != (oq, orr, p):
-        raise ValueError(f"state must be ({oq}, {orr}, {p}), got {h_prev.shape} / {c_prev.shape}")
-    if layer.w_ci.shape != (oq, orr, p):
-        raise ValueError(f"peephole shape {layer.w_ci.shape} does not match output dims ({oq}, {orr}, {p})")
-
-
-def convlstm_sequence(layer, xs, masks=None):
-    """Iterate the step from zero state with one fixed mask set.
-
-    Returns the list of hidden states if layer.return_sequences, else the
-    final hidden state.
-    """
-    if len(xs) == 0:
-        raise ValueError("empty input sequence")
-    layer = _masked_layer(layer, masks)
-    zero = _zero_state(layer, xs[0].shape)
-    _check_step_shapes(layer, xs[0], zero, zero)
-    run = _layer_forward(layer, _core_input(np.stack(xs)[None], layer))
-    outs = [_channels_last(run.hidden(t))[0] for t in range(1, len(xs) + 1)]
-    return outs if layer.return_sequences else outs[-1]
-
-
-def _zero_state(layer, x_shape):
-    p = layer.filters
-    oq = -(-x_shape[0] // layer.stride)
-    orr = -(-x_shape[1] // layer.stride)
-    return np.zeros((oq, orr, p))
-
-
-# --- vector LSTM -------------------------------------------------------------
-
-def _as_1x1(field, w):
-    """A vector-LSTM tensor seen in its 1x1 ConvLSTM shape (a view, not a copy)."""
-    if field.startswith("b_"):
-        return w
-    return w[None, None] if w.ndim == 1 else w.T[None, None]
-
-
-def _as_conv_layer(layer):
-    """The vector LSTM as the 1x1-kernel, 1x1-spatial ConvLstmLayer it is."""
-    return ConvLstmLayer(stride=1, return_sequences=False,
-                         **{f: _as_1x1(f, w) for f, w in _layer_tensors(layer).items()})
-
-
-def lstm_step(layer, x, h_prev, c_prev, masks=None):
-    """Single-sample vector LSTM step; x (d,), h/c (u,)."""
-    layer = _as_conv_layer(_masked_layer(layer, masks))
-    h, c = convlstm_step(layer, x[None, None], h_prev[None, None], c_prev[None, None])
-    return h[0, 0], c[0, 0]
-
-
 # --- full network ------------------------------------------------------------
-
-def _branch_masks(masks, prefix):
-    """Slice a global-name mask set down to one layer's field names."""
-    if not masks:
-        return None
-    local = {}
-    for name, m in masks.items():
-        if name.startswith(prefix + "."):
-            local[name[len(prefix) + 1 :]] = m
-    return local or None
-
 
 def inputs_from_samples(config, samples):
     """Stack SequenceSamples into per-branch batch arrays.
@@ -709,24 +542,28 @@ def inputs_from_samples(config, samples):
 def _forward_batch(params, config, images, states, masks=None, cache=None, step_hook=None):
     """Run the network on stacked inputs; returns (B, 2) probabilities.
 
-    step_hook(branch, layer_index, t, effective_layer), when given, observes
-    the exact parameter set applied at every time step (test instrumentation
-    for the mask-constancy requirement).
+    Each mask multiplies its named tensor once per pass, so every time step
+    sees the same weights. step_hook(branch, layer_index, t, effective_layer),
+    when given, observes the exact field -> array map applied at every time
+    step (test instrumentation for that mask-constancy requirement).
     """
+    tensors = params.tensors()
+    if masks:
+        tensors = {name: t * masks[name] if name in masks else t for name, t in tensors.items()}
     feats = []
     for cam in config.cameras:
-        layers = params.branches[cam]
+        layers = [_layer(tensors, f"cam.{cam}.l{li}") for li in range(len(config.conv_filters))]
         xp = _core_input(images[cam], layers[0])
-        for li, layer in enumerate(layers):
-            eff = _masked_layer(layer, _branch_masks(masks, f"cam.{cam}.l{li}"))
+        for li, (layer, stride, seqs) in enumerate(zip(layers, config.conv_strides,
+                                                       config.conv_return_sequences)):
             hook = None
             if step_hook is not None:
-                hook = lambda t, cam=cam, li=li, eff=eff: step_hook(cam, li, t, eff)
-            run = _layer_forward(eff, xp, hook=hook, keep_cols=cache is not None)
+                hook = lambda t, cam=cam, li=li, layer=layer: step_hook(cam, li, t, layer)
+            run = _layer_forward(layer, xp, stride, hook=hook, keep_cols=cache is not None)
             if cache is not None:
                 cache["conv"][(cam, li)] = run
             # the next layer sees every hidden state, or only the last one
-            out = run.hs[:, 1:] if layer.return_sequences else run.hs[:, -1:]
+            out = run.hs[:, 1:] if seqs else run.hs[:, -1:]
             h_last = run.hidden(-1)
             del run  # without a cache, frees the gates before the next layer runs
             if li + 1 < len(layers):
@@ -738,27 +575,28 @@ def _forward_batch(params, config, images, states, masks=None, cache=None, step_
     if config.has_state_branch:
         if states is None:
             raise ValueError(f"input mode {config.input_mode!r} requires state sequences")
-        eff = _masked_layer(params.lstm, _branch_masks(masks, "lstm"))
+        layer = _layer(tensors, "lstm")
         hook = None
         if step_hook is not None:
-            hook = lambda t: step_hook("state", 0, t, eff)
+            hook = lambda t: step_hook("state", 0, t, layer)
         # (B, L, d) -> (d, L, B, 1, 1): one 1x1 layer that returns its last state
-        run = _layer_forward(_as_conv_layer(eff), states.T[..., None, None],
+        run = _layer_forward(layer, states.T[..., None, None],
                              hook=hook, keep_cols=cache is not None)
         feats.append(run.hidden(-1)[:, :, 0, 0].T)
         if cache is not None:
             cache["lstm"] = run
     feat = np.concatenate(feats, axis=1)
-    if feat.shape[1] != params.head.w_merge.shape[1]:
-        raise ValueError(f"head expects {params.head.w_merge.shape[1]} features, got {feat.shape[1]}")
-    act = feat @ params.head.w_merge.T + params.head.b_merge
+    w_merge, w_out = tensors["head.w_merge"], tensors["head.w_out"]
+    if feat.shape[1] != w_merge.shape[1]:
+        raise ValueError(f"head expects {w_merge.shape[1]} features, got {feat.shape[1]}")
+    act = feat @ w_merge.T + tensors["head.b_merge"]
     hidden = np.maximum(act, 0.0)
-    logits = hidden @ params.head.w_out.T + params.head.b_out
+    logits = hidden @ w_out.T + tensors["head.b_out"]
     shifted = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(shifted)
     probs = ez / ez.sum(axis=1, keepdims=True)
     if cache is not None:
-        cache["head"] = (feat, act, hidden)
+        cache["head"] = (feat, act, hidden, w_merge, w_out)
         cache["probs"] = probs
     return probs
 
@@ -808,39 +646,31 @@ def dpm_gradients(params, config, samples, labels, masks=None):
     dlogits[np.arange(b), _true_class(labels)] -= 1.0
     dlogits /= b
 
-    feat, act, hidden = cache["head"]
+    feat, act, hidden, w_merge, w_out = cache["head"]
     grads["head.w_out"] += dlogits.T @ hidden
     grads["head.b_out"] += dlogits.sum(axis=0)
-    dhidden = dlogits @ params.head.w_out
+    dhidden = dlogits @ w_out
     dact = dhidden * (act > 0)
     grads["head.w_merge"] += dact.T @ feat
     grads["head.b_merge"] += dact.sum(axis=0)
-    dfeat = dact @ params.head.w_merge
+    dfeat = dact @ w_merge
 
     offset = 0
     for cam in config.cameras:
         shape = cache["branch_shape"][cam]
         width = int(np.prod(shape[1:]))
-        dbranch = dfeat[:, offset : offset + width].reshape(shape)
+        d_out = dfeat[:, offset : offset + width].reshape(shape).transpose(3, 0, 1, 2)[:, None]
         offset += width
-        _branch_backward(params, config, cam, cache, dbranch, grads)
+        for li in range(len(config.conv_filters) - 1, -1, -1):
+            # the first layer's input is the image sequence: its gradient is never used
+            d_out = _layer_backward(cache["conv"][(cam, li)], d_out,
+                                    _layer(grads, f"cam.{cam}.l{li}"), need_dx=li > 0)
     if config.has_state_branch:
-        # the core's += reaches the (u, d), (u, u) and (u,) gradients through 1x1 views
-        views = {f"lstm.{f}": _as_1x1(f, grads[f"lstm.{f}"]) for f in _CONV_TENSOR_FIELDS}
         dh = dfeat[:, offset:].T[:, None, :, None, None]  # (u, 1, B, 1, 1)
-        _layer_backward(cache["lstm"], dh, views, "lstm", need_dx=False)
+        _layer_backward(cache["lstm"], dh, _layer(grads, "lstm"), need_dx=False)
 
     if masks:
         for name, m in masks.items():
             if name in grads:
                 grads[name] *= m
     return loss, grads
-
-
-def _branch_backward(params, config, cam, cache, d_final, grads):
-    """Backprop one camera branch from the gradient of its (B, q, r, p) output."""
-    d_out = d_final.transpose(3, 0, 1, 2)[:, None]  # (p, 1, B, q, r)
-    for li in range(len(params.branches[cam]) - 1, -1, -1):
-        run = cache["conv"][(cam, li)]
-        # the first layer's input is the image sequence: its gradient is never used
-        d_out = _layer_backward(run, d_out, grads, f"cam.{cam}.l{li}", need_dx=li > 0)

@@ -2,8 +2,8 @@
 
 The F-distribution tail is computed from scratch via the regularized
 incomplete beta function (continued fraction, modified Lentz) so the package
-carries no stats dependency. All standard deviations default to the
-population (divide-by-n) convention; see mean_std.
+carries no stats dependency. All standard deviations use the population
+(divide-by-n) convention; see mean_std.
 """
 
 import enum
@@ -44,23 +44,16 @@ def mcc_of(c):
     return (tp * tn - fp * fn) / math.sqrt(denom)
 
 
-def mean_std(values, convention="population"):
-    """Arithmetic mean and standard deviation.
+def mean_std(values):
+    """Arithmetic mean and population (divide-by-n) standard deviation.
 
-    convention "population" divides by n, "sample" by n-1. The population
-    form is the repo-wide default: it reproduces the published k-fold
-    summary rows, which the sample form does not.
+    The population form reproduces the published k-fold summary rows, which
+    the sample (divide-by-n-1) form does not.
     """
     v = np.asarray(list(values), dtype=np.float64)
     if v.size < 1:
         raise ValueError("mean_std needs at least one value")
-    if convention == "population":
-        return float(v.mean()), float(v.std(ddof=0))
-    if convention == "sample":
-        if v.size < 2:
-            raise ValueError("sample convention needs at least two values")
-        return float(v.mean()), float(v.std(ddof=1))
-    raise ValueError(f"unknown convention {convention!r}")
+    return float(v.mean()), float(v.std(ddof=0))
 
 
 # --- regularized incomplete beta / F survival ------------------------------

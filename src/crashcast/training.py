@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max iterations must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.validation_interval < 1:

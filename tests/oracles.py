@@ -1,17 +1,22 @@
-"""Minimal dense-array numerics: the network's sigmoid and the test oracles.
+"""Test oracles: exact-order dense-array ops and single-sample layer adapters.
 
 Tensors are float64 C-order numpy arrays with a fixed dimension order of
-rows x cols x channels (x filters for convolution kernels).  Every function
-here is pure: inputs are never mutated and outputs are fresh arrays, except
-where sigmoid is given an `out` array.
+rows x cols x channels (x filters for convolution kernels). Every op here is
+pure: inputs are never mutated and outputs are fresh arrays.
 
 conv2d accumulates in a fixed (kernel-row, kernel-col, in-channel) order so
 that its output is bit-identical to a naive quadruple-loop convolution that
-sums in the same order; the gradient-check and transcription oracles in the
-test suite rely on this.
+sums in the same order; the gradient-check and transcription oracles rely on
+this.
+
+convlstm_step, convlstm_sequence and lstm_step run one sample through the
+network's ConvLSTM core. A layer is a field -> array map (`w_xi`, ...,
+`b_o`), as the core sees it.
 """
 
 import numpy as np
+
+from crashcast.network import _channels_last, _core_input, _layer, _layer_forward, sigmoid
 
 
 def _as_f64(x):
@@ -48,25 +53,6 @@ def conv2d(x, kernel, stride=1):
                         v : v + (orr - 1) * stride + 1 : stride, c]
                 out += sl[:, :, None] * kernel[u, v, c, :]
     return out
-
-
-def sigmoid(x, out=None):
-    """Numerically stable logistic function, optionally written into `out`.
-
-    With e = exp(-|x|) this is where(x >= 0, 1, e) / (1 + e): 1 / (1 + exp(-x))
-    for x >= 0 and exp(x) / (1 + exp(x)) below, bit for bit, with no boolean
-    mask. The numerator is formed as exp(min(x, 0)), which equals
-    where(x >= 0, 1, e) exactly and is cheaper than a select. `out` may be x
-    itself.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    den = np.copysign(x, -1.0, out=np.empty_like(x))  # -|x|
-    np.exp(den, out=den)
-    den += 1.0
-    num = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
-    np.exp(num, out=num)
-    num /= den
-    return num
 
 
 def pointwise(op_kind, x):
@@ -130,3 +116,25 @@ def finite_diff_gradient(f, x, eps=1e-4):
         xf[i] = orig
         flat[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def convlstm_step(layer, x, h_prev, c_prev, stride=1):
+    """One gate-equation step: x (q, r, c_in), h/c (q', r', p)."""
+    run = _layer_forward(layer, _core_input(x[None, None], layer), stride,
+                         h_prev.transpose(2, 0, 1)[:, None], c_prev.transpose(2, 0, 1)[:, None])
+    h = run.hidden(1)
+    return _channels_last(h)[0], _channels_last(run.cs[:, 1].reshape(h.shape))[0]
+
+
+def convlstm_sequence(layer, xs, stride=1, return_sequences=True):
+    """The step iterated from zero state: every hidden state, or the last one."""
+    run = _layer_forward(layer, _core_input(np.stack(xs)[None], layer), stride)
+    outs = [_channels_last(run.hidden(t))[0] for t in range(1, len(xs) + 1)]
+    return outs if return_sequences else outs[-1]
+
+
+def lstm_step(layer, x, h_prev, c_prev):
+    """Vector LSTM step: kernels (u, d) and (u, u), peepholes (u,); x (d,), h/c (u,)."""
+    conv = _layer({f"lstm.{f}": w for f, w in layer.items()}, "lstm")
+    h, c = convlstm_step(conv, x[None, None], h_prev[None, None], c_prev[None, None])
+    return h[0, 0], c[0, 0]

@@ -15,7 +15,6 @@ from crashcast.checkpoint import load_checkpoint, save_checkpoint
 from crashcast.cli import main as cli_main
 from crashcast.data import deserialize_dataset, serialize_dataset
 from crashcast.dropout import DropoutSpec, mix64, run_sfp, sample_masks, stochastic_forward
-from crashcast.kernel import finite_diff_gradient
 from crashcast.network import (
     NetworkConfig,
     dpm_forward,
@@ -35,6 +34,7 @@ from crashcast.stats import (
 )
 from crashcast.training import TrainConfig, evaluate, train
 
+from oracles import finite_diff_gradient
 from test_network import make_samples
 from test_stats import TABLE_ACC, TABLE_MCC, anova_ss_oracle, mcc_pearson_oracle
 
@@ -81,8 +81,8 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_paper_aggregation_oracle():
     """mean_std reproduces the published k-fold summary rows within 5e-4."""
-    acc_mean, acc_std = mean_std(TABLE_ACC, convention="population")
-    mcc_mean, mcc_std = mean_std(TABLE_MCC, convention="population")
+    acc_mean, acc_std = mean_std(TABLE_ACC)
+    mcc_mean, mcc_std = mean_std(TABLE_MCC)
     assert abs(acc_mean - 0.8219) <= 5e-4
     assert abs(acc_std - 0.0790) <= 5e-4
     assert abs(mcc_mean - 0.6484) <= 5e-4
@@ -209,8 +209,8 @@ def test_criterion_6_mc_dropout_invariants():
 
         def hook(branch, layer_index, t, eff):
             if branch == "dashcam" and layer_index == 0:
-                records.append(hashlib.sha256(eff.w_xi.tobytes() + eff.w_hi.tobytes()
-                                              + eff.w_ci.tobytes()).hexdigest())
+                records.append(hashlib.sha256(eff["w_xi"].tobytes() + eff["w_hi"].tobytes()
+                                              + eff["w_ci"].tobytes()).hexdigest())
 
         stochastic_forward(params, config, sample, spec, mix64(99, i), step_hook=hook)
         assert len(records) == config.seq_len

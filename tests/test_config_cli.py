@@ -86,6 +86,7 @@ BAD_SETTINGS = [
     ("train.batch_size=0", "'train.batch_size'"),
     ("train.optimizer=foo", "'train.optimizer'"),
     ("train.patience=0", "'train.patience'"),
+    ("train.max_iterations=0", "'train.max_iterations'"),
     ("dropout.targets=foo", "'dropout.targets'"),
     ("net.input_mode=bogus", "bad net settings"),
     ("net.conv_kernels=2", "bad net settings"),
@@ -94,6 +95,8 @@ BAD_SETTINGS = [
     ("data.window_stride=0", "'data.window_stride'"),
     ("eval.fold_k=1", "'eval.fold_k'"),
     ("eval.bins=0", "'eval.bins'"),
+    ("eval.val_fraction=1.0", "'eval.val_fraction'"),
+    ("eval.threshold=7", "'eval.threshold'"),
 ]
 
 
@@ -267,6 +270,11 @@ def test_checkpoint_byte_fuzz_raises_typed_error_or_reloads_exactly(tmp_path):
                 continue
             save_checkpoint(resaved, *loaded)
             assert resaved.read_bytes() == bytes(blob), f"byte {at} = {blob[at]}"
+        # every proper prefix of the file is a typed error
+        for end in range(len(clean)):
+            bad.write_bytes(clean[:end])
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(bad)
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
@@ -316,7 +324,9 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
 ], ids=lambda argv: argv[0])
 def test_cli_jobs_is_a_usage_error_where_nothing_runs_in_parallel(argv, capsys):
     assert run_cli(*argv, "--jobs", "3") == 1
-    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 3" in err
+    assert f"usage: crashcast {argv[0]}" in err
 
 
 @pytest.fixture(scope="module")

@@ -156,7 +156,7 @@ def _mask_digests_per_step(params, config, sample, spec, seed, branch):
 
     def hook(name, layer_index, t, eff):
         if name == branch and layer_index == 0:
-            digest = hashlib.sha256(eff.w_xi.tobytes() + eff.w_hi.tobytes()).hexdigest()
+            digest = hashlib.sha256(eff["w_xi"].tobytes() + eff["w_hi"].tobytes()).hexdigest()
             records.append((t, digest))
 
     stochastic_forward(params, config, sample, spec, seed, step_hook=hook)
@@ -211,15 +211,3 @@ def test_mask_set_records_seed():
     ms = sample_masks(DropoutSpec(rate=0.1), params, rng_seed=321)
     assert isinstance(ms, MaskSet)
     assert ms.seed == 321
-
-
-def test_write_distribution_csv(tmp_path):
-    from crashcast.dropout import write_distribution_csv
-
-    dist = PredictiveDistribution(samples=(0.25, 0.5, 1.0))
-    path = tmp_path / "dist.csv"
-    write_distribution_csv(dist, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "pass_index,p_collision"
-    assert lines[1] == "0,0.25"
-    assert lines[3] == "2,1.0"

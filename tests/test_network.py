@@ -5,21 +5,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from crashcast import kernel
+import oracles
 from crashcast.network import (
-    ConvLstmLayer,
-    LstmLayer,
     NetworkConfig,
-    convlstm_sequence,
-    convlstm_step,
     dpm_forward,
     dpm_forward_batch,
     dpm_gradients,
     init_params,
-    lstm_step,
     param_shapes,
+    sigmoid,
     zero_grads,
 )
+from oracles import convlstm_sequence, convlstm_step, lstm_step
 
 
 @dataclass
@@ -36,7 +33,8 @@ class FakeSample:
     label: int = 0
 
 
-def make_conv_layer(rng, c_in=1, p=2, k=3, q=4, r=4, stride=1, return_sequences=True, scale=0.3):
+def make_conv_layer(rng, c_in=1, p=2, k=3, q=4, r=4, stride=1, scale=0.3):
+    """Field -> array map of one ConvLSTM layer whose output is (ceil(q/stride), ceil(r/stride), p)."""
     oq, orr = -(-q // stride), -(-r // stride)
     fields = {}
     for g in "ifco":
@@ -45,7 +43,7 @@ def make_conv_layer(rng, c_in=1, p=2, k=3, q=4, r=4, stride=1, return_sequences=
         fields[f"b_{g}"] = rng.standard_normal(p) * scale
     for g in "ifo":
         fields[f"w_c{g}"] = rng.standard_normal((oq, orr, p)) * scale
-    return ConvLstmLayer(stride=stride, return_sequences=return_sequences, **fields)
+    return fields
 
 
 def make_lstm_layer(rng, d=3, u=4, scale=0.4):
@@ -56,33 +54,29 @@ def make_lstm_layer(rng, d=3, u=4, scale=0.4):
         fields[f"b_{g}"] = rng.standard_normal(u) * scale
     for g in "ifo":
         fields[f"w_c{g}"] = rng.standard_normal(u) * scale
-    return LstmLayer(**fields)
+    return fields
 
 
-def step_transcribed(layer, x, h_prev, c_prev, o_gate_uses_new_cell=True):
-    """Straight-line transcription of the gate equations using kernel ops only."""
-    conv_x = lambda w: kernel.conv2d(x, w, layer.stride)
-    conv_h = lambda w: kernel.conv2d(h_prev, w, 1)
-    gi = kernel.pointwise("sigmoid", conv_x(layer.w_xi) + conv_h(layer.w_hi)
-                          + kernel.hadamard(layer.w_ci, c_prev) + layer.b_i)
-    gf = kernel.pointwise("sigmoid", conv_x(layer.w_xf) + conv_h(layer.w_hf)
-                          + kernel.hadamard(layer.w_cf, c_prev) + layer.b_f)
-    c_new = kernel.hadamard(gf, c_prev) + kernel.hadamard(
-        gi, kernel.pointwise("tanh", conv_x(layer.w_xc) + conv_h(layer.w_hc) + layer.b_c))
+def step_transcribed(layer, x, h_prev, c_prev, stride=1, o_gate_uses_new_cell=True):
+    """Straight-line transcription of the gate equations using oracle ops only."""
+    conv_x = lambda g: oracles.conv2d(x, layer[f"w_x{g}"], stride)
+    conv_h = lambda g: oracles.conv2d(h_prev, layer[f"w_h{g}"], 1)
+    gi = oracles.pointwise("sigmoid", conv_x("i") + conv_h("i")
+                           + oracles.hadamard(layer["w_ci"], c_prev) + layer["b_i"])
+    gf = oracles.pointwise("sigmoid", conv_x("f") + conv_h("f")
+                           + oracles.hadamard(layer["w_cf"], c_prev) + layer["b_f"])
+    c_new = oracles.hadamard(gf, c_prev) + oracles.hadamard(
+        gi, oracles.pointwise("tanh", conv_x("c") + conv_h("c") + layer["b_c"]))
     peek = c_new if o_gate_uses_new_cell else c_prev
-    go = kernel.pointwise("sigmoid", conv_x(layer.w_xo) + conv_h(layer.w_ho)
-                          + kernel.hadamard(layer.w_co, peek) + layer.b_o)
-    h_new = kernel.hadamard(go, kernel.pointwise("tanh", c_new))
+    go = oracles.pointwise("sigmoid", conv_x("o") + conv_h("o")
+                           + oracles.hadamard(layer["w_co"], peek) + layer["b_o"])
+    h_new = oracles.hadamard(go, oracles.pointwise("tanh", c_new))
     return h_new, c_new
 
 
 def zeroed(layer):
-    for g in "ifco":
-        getattr(layer, f"w_x{g}")[...] = 0.0
-        getattr(layer, f"w_h{g}")[...] = 0.0
-        getattr(layer, f"b_{g}")[...] = 0.0
-    for g in "ifo":
-        getattr(layer, f"w_c{g}")[...] = 0.0
+    for w in layer.values():
+        w[...] = 0.0
     return layer
 
 
@@ -98,14 +92,14 @@ def test_step_all_zero_parameters():
 def test_step_gate_saturation_closed_form():
     rng = np.random.default_rng(1)
     layer = zeroed(make_conv_layer(rng, c_in=1, p=1, k=1))
-    layer.b_i[...] = 20.0
-    layer.b_o[...] = 20.0
+    layer["b_i"][...] = 20.0
+    layer["b_o"][...] = 20.0
     x = rng.standard_normal((4, 4, 1))
     zero = np.zeros((4, 4, 1))
     h, c = convlstm_step(layer, x, zero, zero)
     assert np.allclose(c, 0.0, atol=1e-8) and np.allclose(h, 0.0, atol=1e-8)
     # with an identity cell kernel the saturated gates pass tanh(x) straight through
-    layer.w_xc[...] = 1.0
+    layer["w_xc"][...] = 1.0
     h, c = convlstm_step(layer, x, zero, zero)
     assert np.allclose(c, np.tanh(x), atol=1e-7)
     assert np.allclose(h, np.tanh(np.tanh(x)), atol=1e-7)
@@ -119,8 +113,8 @@ def test_step_matches_transcription_oracle(stride):
     x = rng.standard_normal((4, 4, 2))
     h0 = rng.standard_normal((oq, oq, 2)) * 0.5
     c0 = rng.standard_normal((oq, oq, 2)) * 0.5
-    h, c = convlstm_step(layer, x, h0, c0)
-    h_ref, c_ref = step_transcribed(layer, x, h0, c0)
+    h, c = convlstm_step(layer, x, h0, c0, stride)
+    h_ref, c_ref = step_transcribed(layer, x, h0, c0, stride)
     assert np.max(np.abs(h - h_ref)) <= 1e-12
     assert np.max(np.abs(c - c_ref)) <= 1e-12
 
@@ -137,24 +131,16 @@ def test_output_gate_peeks_at_new_cell_state():
     assert np.max(np.abs(h - h_wrong)) > 1e-6
 
 
-def test_step_shape_errors():
-    rng = np.random.default_rng(6)
-    layer = make_conv_layer(rng, c_in=1, p=2)
-    with pytest.raises(ValueError):
-        convlstm_step(layer, rng.standard_normal((4, 4, 3)), np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
-    with pytest.raises(ValueError):
-        convlstm_step(layer, rng.standard_normal((4, 4, 1)), np.zeros((3, 4, 2)), np.zeros((4, 4, 2)))
-
-
 def test_sequence_single_step_and_zero_weights():
     rng = np.random.default_rng(7)
-    layer = make_conv_layer(rng, c_in=1, p=2, return_sequences=False)
+    layer = make_conv_layer(rng, c_in=1, p=2)
     x = rng.standard_normal((4, 4, 1))
-    single = convlstm_sequence(layer, [x])
+    single = convlstm_sequence(layer, [x], return_sequences=False)
     h_ref, _ = convlstm_step(layer, x, np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
     assert np.allclose(single, h_ref, atol=1e-14)
     zeroed(layer)
-    out = convlstm_sequence(layer, [rng.standard_normal((4, 4, 1)) for _ in range(4)])
+    out = convlstm_sequence(layer, [rng.standard_normal((4, 4, 1)) for _ in range(4)],
+                            return_sequences=False)
     assert (out == 0.0).all()
     with pytest.raises(ValueError):
         convlstm_sequence(layer, [])
@@ -162,7 +148,7 @@ def test_sequence_single_step_and_zero_weights():
 
 def test_sequence_matches_step_replay():
     rng = np.random.default_rng(8)
-    layer = make_conv_layer(rng, c_in=1, p=2, return_sequences=True)
+    layer = make_conv_layer(rng, c_in=1, p=2)
     xs = [rng.standard_normal((4, 4, 1)) for _ in range(5)]
     outs = convlstm_sequence(layer, xs)
     h = np.zeros((4, 4, 2))
@@ -174,13 +160,7 @@ def test_sequence_matches_step_replay():
 
 def test_lstm_zero_weights_and_shape_errors():
     rng = np.random.default_rng(9)
-    layer = make_lstm_layer(rng)
-    for g in "ifco":
-        getattr(layer, f"w_x{g}")[...] = 0.0
-        getattr(layer, f"w_h{g}")[...] = 0.0
-        getattr(layer, f"b_{g}")[...] = 0.0
-    for g in "ifo":
-        getattr(layer, f"w_c{g}")[...] = 0.0
+    layer = zeroed(make_lstm_layer(rng))
     h, c = lstm_step(layer, np.zeros(3), np.zeros(4), np.zeros(4))
     assert (h == 0.0).all() and (c == 0.0).all()
     with pytest.raises(ValueError):
@@ -192,14 +172,13 @@ def test_lstm_degenerates_from_convlstm():
     rng = np.random.default_rng(10)
     d, u = 3, 4
     vec = make_lstm_layer(rng, d=d, u=u)
-    conv_fields = {}
+    conv = {}
     for g in "ifco":
-        conv_fields[f"w_x{g}"] = getattr(vec, f"w_x{g}").T.reshape(1, 1, d, u)
-        conv_fields[f"w_h{g}"] = getattr(vec, f"w_h{g}").T.reshape(1, 1, u, u)
-        conv_fields[f"b_{g}"] = getattr(vec, f"b_{g}").copy()
+        conv[f"w_x{g}"] = vec[f"w_x{g}"].T.reshape(1, 1, d, u)
+        conv[f"w_h{g}"] = vec[f"w_h{g}"].T.reshape(1, 1, u, u)
+        conv[f"b_{g}"] = vec[f"b_{g}"].copy()
     for g in "ifo":
-        conv_fields[f"w_c{g}"] = getattr(vec, f"w_c{g}").reshape(1, 1, u)
-    conv = ConvLstmLayer(stride=1, return_sequences=True, **conv_fields)
+        conv[f"w_c{g}"] = vec[f"w_c{g}"].reshape(1, 1, u)
     x = rng.standard_normal(d)
     h0 = rng.standard_normal(u) * 0.3
     c0 = rng.standard_normal(u) * 0.3
@@ -211,16 +190,16 @@ def test_lstm_degenerates_from_convlstm():
 
 def test_lstm_matches_transcription_oracle():
     rng = np.random.default_rng(11)
-    layer = make_lstm_layer(rng)
+    w = make_lstm_layer(rng)
     x = rng.standard_normal(3)
     h0 = rng.standard_normal(4) * 0.3
     c0 = rng.standard_normal(4) * 0.3
-    gi = kernel.sigmoid(layer.w_xi @ x + layer.w_hi @ h0 + layer.w_ci * c0 + layer.b_i)
-    gf = kernel.sigmoid(layer.w_xf @ x + layer.w_hf @ h0 + layer.w_cf * c0 + layer.b_f)
-    c_ref = gf * c0 + gi * np.tanh(layer.w_xc @ x + layer.w_hc @ h0 + layer.b_c)
-    go = kernel.sigmoid(layer.w_xo @ x + layer.w_ho @ h0 + layer.w_co * c_ref + layer.b_o)
+    gi = sigmoid(w["w_xi"] @ x + w["w_hi"] @ h0 + w["w_ci"] * c0 + w["b_i"])
+    gf = sigmoid(w["w_xf"] @ x + w["w_hf"] @ h0 + w["w_cf"] * c0 + w["b_f"])
+    c_ref = gf * c0 + gi * np.tanh(w["w_xc"] @ x + w["w_hc"] @ h0 + w["b_c"])
+    go = sigmoid(w["w_xo"] @ x + w["w_ho"] @ h0 + w["w_co"] * c_ref + w["b_o"])
     h_ref = go * np.tanh(c_ref)
-    h, c = lstm_step(layer, x, h0, c0)
+    h, c = lstm_step(w, x, h0, c0)
     assert np.allclose(h, h_ref, atol=1e-12)
     assert np.allclose(c, c_ref, atol=1e-12)
 
@@ -325,13 +304,9 @@ def test_branch_permutation_symmetry():
     cfg_b = tiny_config(cameras=("dashcam", "left_mirror"), input_mode="images_only")
     params_a = init_params(cfg_a, seed=6)
     params_b = params_a.copy()
-    params_b.branches = {
-        "dashcam": params_b.branches["dashcam"],
-        "left_mirror": params_b.branches["left_mirror"],
-    }
     w = cfg_a.branch_feature_dim
-    wm = params_a.head.w_merge
-    params_b.head.w_merge = np.concatenate([wm[:, w : 2 * w], wm[:, :w]], axis=1)
+    wm = params_a.tensors()["head.w_merge"]
+    params_b.tensors()["head.w_merge"] = np.concatenate([wm[:, w : 2 * w], wm[:, :w]], axis=1)
     sample = make_samples(rng, cfg_a, 1)[0]
     pa = dpm_forward(params_a, cfg_a, sample)
     pb = dpm_forward(params_b, cfg_b, sample)
@@ -345,8 +320,8 @@ def test_gradients_at_saturated_minimum_vanish():
     sample = make_samples(rng, config, 1)[0]
     predicted = int(np.argmax(dpm_forward(params, config, sample)))
     label = 1 if predicted == 0 else 0  # label whose target index is the argmax
-    params.head.w_out *= 2000.0  # saturate the softmax at its own prediction
-    params.head.b_out *= 2000.0
+    params.tensors()["head.w_out"] *= 2000.0  # saturate the softmax at its own prediction
+    params.tensors()["head.b_out"] *= 2000.0
     loss, grads = dpm_gradients(params, config, [sample, sample], [label, label])
     norm = max(np.max(np.abs(g)) for g in grads.values())
     assert loss < 1e-8
@@ -373,7 +348,6 @@ def test_tensor_names_follow_record_order():
 def test_images_only_has_no_state_branch_parameters():
     config = tiny_config(input_mode="images_only")
     params = init_params(config, seed=8)
-    assert params.lstm is None
     assert not any(name.startswith("lstm.") for name in params.tensors())
     rng = np.random.default_rng(18)
     samples = make_samples(rng, config, 2)
@@ -394,7 +368,7 @@ def relative_gradient_errors(params, config, samples, labels, eps=1e-4):
             _t[...] = original
             return out
 
-        fd = kernel.finite_diff_gradient(loss_with, original, eps=eps)
+        fd = oracles.finite_diff_gradient(loss_with, original, eps=eps)
         rel = np.abs(grads[name] - fd) / (np.abs(grads[name]) + 1e-8)
         errs[name] = float(np.max(rel))
     return errs

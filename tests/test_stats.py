@@ -111,26 +111,20 @@ def test_mcc_matches_pearson_oracle():
 def test_mean_std_constant():
     m, s = mean_std([0.42, 0.42, 0.42])
     assert m == pytest.approx(0.42) and s == 0.0
+    with pytest.raises(ValueError):
+        mean_std([])
 
 
 def test_mean_std_reproduces_published_kfold_rows():
-    m, s = mean_std(TABLE_ACC, convention="population")
+    m, s = mean_std(TABLE_ACC)
     assert abs(m - 0.8219) <= 5e-4
     assert abs(s - 0.0790) <= 5e-4
-    m, s = mean_std(TABLE_MCC, convention="population")
+    m, s = mean_std(TABLE_MCC)
     assert abs(m - 0.6484) <= 5e-4
     assert abs(s - 0.1521) <= 5e-4
-
-
-def test_mean_std_sample_convention():
-    _, s_pop = mean_std([1.0, 2.0, 3.0], "population")
-    _, s_samp = mean_std([1.0, 2.0, 3.0], "sample")
+    # the population form divides by n
+    _, s_pop = mean_std([1.0, 2.0, 3.0])
     assert s_pop == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-12)
-    assert s_samp == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        mean_std([1.0], "sample")
-    with pytest.raises(ValueError):
-        mean_std([], "population")
 
 
 def test_f_survival_edge_and_paper_values():
