@@ -5,18 +5,20 @@ Every command is reproducible from (config, seed): outputs embed the seed
 and a config hash, and re-running with the same inputs produces
 byte-identical primary outputs.
 
-Every command reads its configuration first, and every value is checked as
-it is parsed, so a bad value exits 1 naming its key before any work starts.
-Only gen-data and experiment, which run worker processes, take --jobs.
+main parses the configuration once, before the command runs, and every
+value is checked as it is parsed, so a bad value exits 1 naming its key
+before any work starts. A command that reads a dataset opens it through
+_open_dataset, which refuses a dataset the command's networks do not fit,
+and its provenance carries that dataset's hash. Only gen-data and
+experiment, which run worker processes, take --jobs; --jobs and --sfp take
+positive counts.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/model error.
 """
 
 import argparse
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .stats import (
     mcc_of,
     mean_std,
 )
-from .training import evaluate, run_kfold, train
+from .training import evaluate, fork_map, run_kfold, train
 
 CAMERA_SWEEP = (
     ("left_mirror", ("left_mirror",)),
@@ -65,6 +67,16 @@ class _Parser(argparse.ArgumentParser):
         return args
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -80,7 +92,7 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="simulate episodes and write a dataset file")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes simulating episodes (default 1, which leaves "
                         "other cores idle: pass the core count; the output does not "
                         "depend on it)")
@@ -99,7 +111,7 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="k-fold sweep over input modes or cameras")
     _add_common(p)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes fitting folds (default 1); every fold fit runs on "
                         "one BLAS thread, so 1 leaves other cores idle: pass the core count; "
                         "the output does not depend on it")
@@ -114,7 +126,8 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--index", type=int, required=True, help="sample index in the dataset")
-    p.add_argument("--sfp", type=int, help="number of stochastic passes (default eval.sfp_passes)")
+    p.add_argument("--sfp", type=_positive_int,
+                   help="number of stochastic passes (default eval.sfp_passes)")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("anova", help="mean/std and one-way ANOVA from a per-fold CSV")
@@ -131,6 +144,8 @@ def build_parser():
 
 def _provenance(args, cfg, extra=None):
     out = {"seed": args.seed, "config_sha256": cfg.config_hash()}
+    if getattr(args, "data", None):
+        out["dataset_sha256"] = file_sha256(args.data)
     if extra:
         out.update(extra)
     return out
@@ -143,8 +158,7 @@ def _gen_episode(task):
     return sid, episode.label, datamod.truncate_episode(episode, horizon)
 
 
-def cmd_gen_data(args):
-    cfg = cfgmod.load_config(args.config, args.overrides)
+def cmd_gen_data(args, cfg):
     world = cfgmod.world_config(cfg)
     cams = cfgmod.camera_specs(cfg)
     d_star = bisect_delay_threshold(1, world, dt=cfg.sim.dt,
@@ -157,12 +171,7 @@ def cmd_gen_data(args):
         for delay in rng.uniform(lo, hi, cfg.sim.episodes_per_scenario):
             tasks.append((sid, float(delay), cfg.sim.dt, cfg.sim.max_duration,
                           cams, world, cfg.data.horizon))
-    if args.jobs > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=ctx) as pool:
-            results = list(pool.map(_gen_episode, tasks, chunksize=4))
-    else:
-        results = [_gen_episode(t) for t in tasks]
+    results = fork_map(_gen_episode, tasks, args.jobs)
 
     samples = []
     scenario_of_episode = {}
@@ -183,50 +192,53 @@ def cmd_gen_data(args):
     if not samples:
         raise ValueError("generation produced no samples; check episode and window settings")
 
-    assembled = datamod.assemble_dataset(samples, rng_seed=mix64(args.seed, 999),
-                                         split=cfg.data.split)
-    datamod.serialize_dataset(assembled.samples, args.out)
-    datamod.write_meta(assembled.samples, scenario_of_episode, args.out + ".meta.csv")
+    samples = datamod.assemble_dataset(samples, rng_seed=mix64(args.seed, 999))
+    datamod.serialize_dataset(samples, args.out)
+    datamod.write_meta(samples, scenario_of_episode, args.out + ".meta.csv")
 
     rows = []
     for sid in cfg.sim.scenarios:
         s = per_scenario[sid]
         rows.append([sid, s["episodes"], s["collision_episodes"],
                      s["samples"], s["collision_samples"]])
-    n_coll = sum(s.label for s in assembled.samples)
+    n_coll = sum(s.label for s in samples)
     collision_episodes = sum(r[2] for r in rows)
     rows.append(["total", len(results), collision_episodes,
-                 len(assembled.samples), n_coll])
+                 len(samples), n_coll])
     write_csv(args.out + ".gen.csv",
               ["scenario", "episodes", "collision_episodes", "samples", "collision_samples"],
               rows,
               _provenance(args, cfg, {"delay_threshold": repr(d_star),
                                       "dataset_sha256": file_sha256(args.out)}))
-    print(f"wrote {len(assembled.samples)} samples ({n_coll} collision, "
-          f"{len(assembled.samples) - n_coll} no-collision) from {len(results)} episodes "
+    print(f"wrote {len(samples)} samples ({n_coll} collision, "
+          f"{len(samples) - n_coll} no-collision) from {len(results)} episodes "
           f"to {args.out}")
     print(f"delay threshold {d_star:.3f} s, sampling window [{lo:.3f}, {hi:.3f}] s")
     return 0
 
 
-def _load_split(cfg, path):
+def _open_dataset(path, *net_configs):
+    """The dataset at path, refused unless every given network config fits it."""
     dataset = datamod.deserialize_dataset(path)
-    n = len(dataset.samples)
-    n_train = int(np.floor(cfg.data.split[0] * n))
-    n_val = int(np.floor(cfg.data.split[1] * n))
-    trainset = dataset.samples[:n_train]
-    valset = dataset.samples[n_train : n_train + n_val]
-    testset = dataset.samples[n_train + n_val :]
-    return dataset, trainset, valset, testset
+    for net_config in net_configs:
+        if (net_config.image_rows, net_config.image_cols) != (dataset.rows, dataset.cols):
+            raise ValueError(f"model expects {net_config.image_rows}x{net_config.image_cols} "
+                             f"images, dataset stores {dataset.rows}x{dataset.cols}")
+        if net_config.seq_len != dataset.seq_len:
+            raise ValueError(f"model expects {net_config.seq_len}-frame windows, "
+                             f"dataset stores {dataset.seq_len}")
+        for cam in net_config.cameras:
+            if cam not in dataset.cameras:
+                raise ValueError(f"dataset lacks camera {cam!r} required by the model")
+    return dataset
 
 
-def cmd_train(args):
-    cfg = cfgmod.load_config(args.config, args.overrides)
-    dataset, trainset, valset, _testset = _load_split(cfg, args.data)
+def cmd_train(args, cfg):
+    net_config = cfgmod.network_config(cfg)
+    dataset = _open_dataset(args.data, net_config)
+    trainset, valset, _testset = datamod.split_samples(dataset.samples, cfg.data.split)
     if not trainset:
         raise ValueError("training split is empty; adjust data.split")
-    net_config = cfgmod.network_config(cfg)
-    _check_model_fits_dataset(net_config, dataset)
     params = init_params(net_config, seed=mix64(args.seed, 1))
     trained, report = train(params, net_config, cfg.train, trainset, valset, cfg.dropout,
                             rng_seed=mix64(args.seed, 2))
@@ -238,7 +250,6 @@ def cmd_train(args):
         rows.insert(0, [0, "", val_by_iter[0]])
     write_csv(args.out + ".train.csv", ["iteration", "train_loss", "val_loss"], rows,
               _provenance(args, cfg, {
-                  "dataset_sha256": file_sha256(args.data),
                   "stop_reason": report.stop_reason,
                   "final_iteration": report.final_iteration,
                   "best_iteration": report.best_iteration,
@@ -253,23 +264,10 @@ def cmd_train(args):
     return 0
 
 
-def _check_model_fits_dataset(net_config, dataset):
-    if (net_config.image_rows, net_config.image_cols) != (dataset.rows, dataset.cols):
-        raise ValueError(f"model expects {net_config.image_rows}x{net_config.image_cols} "
-                         f"images, dataset stores {dataset.rows}x{dataset.cols}")
-    if net_config.seq_len != dataset.seq_len:
-        raise ValueError(f"model expects {net_config.seq_len}-frame windows, "
-                         f"dataset stores {dataset.seq_len}")
-    for cam in net_config.cameras:
-        if cam not in dataset.cameras:
-            raise ValueError(f"dataset lacks camera {cam!r} required by the model")
-
-
-def cmd_eval(args):
-    cfg = cfgmod.load_config(args.config, args.overrides)
+def cmd_eval(args, cfg):
     net_config, params = load_checkpoint(args.model)
-    dataset, _trainset, _valset, testset = _load_split(cfg, args.data)
-    _check_model_fits_dataset(net_config, dataset)
+    dataset = _open_dataset(args.data, net_config)
+    _trainset, _valset, testset = datamod.split_samples(dataset.samples, cfg.data.split)
     if not testset:
         raise ValueError("test split is empty; adjust data.split")
     _preds, counts = evaluate(params, net_config, testset, threshold=cfg.eval.threshold)
@@ -278,8 +276,7 @@ def cmd_eval(args):
     rows = [[counts.tp, counts.tn, counts.fp, counts.fn, acc, mcc]]
     if args.out:
         write_csv(args.out, ["tp", "tn", "fp", "fn", "accuracy", "mcc"], rows,
-                  _provenance(args, cfg, {"dataset_sha256": file_sha256(args.data),
-                                          "model": os.path.basename(args.model)}))
+                  _provenance(args, cfg, {"model": os.path.basename(args.model)}))
     print(f"test samples: {counts.total}  accuracy: {acc:.4f}  mcc: {mcc:.4f}  "
           f"(tp={counts.tp} tn={counts.tn} fp={counts.fp} fn={counts.fn})")
     return 0
@@ -292,9 +289,9 @@ def _experiment_groups(cfg, sweep):
             for name, cams in CAMERA_SWEEP]
 
 
-def cmd_experiment(args):
-    cfg = cfgmod.load_config(args.config, args.overrides)
-    dataset = datamod.deserialize_dataset(args.data)
+def cmd_experiment(args, cfg):
+    groups = _experiment_groups(cfg, args.sweep)
+    dataset = _open_dataset(args.data, *(net_config for _name, net_config in groups))
     fold_unit = args.fold_unit or cfg.eval.fold_unit
     meta_path = args.data + ".meta.csv"
     if os.path.exists(meta_path):
@@ -308,9 +305,6 @@ def cmd_experiment(args):
         raise ValueError(
             f"episode-level folding needs the sidecar {meta_path}; "
             f"regenerate the dataset or pass --fold-unit samples")
-    groups = _experiment_groups(cfg, args.sweep)
-    for _name, net_config in groups:
-        _check_model_fits_dataset(net_config, dataset)
 
     os.makedirs(args.out, exist_ok=True)
     fold_seed = mix64(args.seed, 3)
@@ -338,8 +332,7 @@ def cmd_experiment(args):
         print(f"ANOVA {metric}: F={res.f_value:.4f} p={res.p_value:.6f} "
               f"df=({res.df_between},{res.df_within})")
 
-    prov = _provenance(args, cfg, {"dataset_sha256": file_sha256(args.data),
-                                   "sweep": args.sweep, "fold_unit": fold_unit,
+    prov = _provenance(args, cfg, {"sweep": args.sweep, "fold_unit": fold_unit,
                                    "folds": cfg.eval.fold_k})
     write_csv(os.path.join(args.out, "folds.csv"),
               ["group", "fold", "accuracy", "mcc"], fold_rows, prov)
@@ -354,11 +347,9 @@ def cmd_experiment(args):
     return 0
 
 
-def cmd_predict(args):
-    cfg = cfgmod.load_config(args.config, args.overrides)
+def cmd_predict(args, cfg):
     net_config, params = load_checkpoint(args.model)
-    dataset = datamod.deserialize_dataset(args.data)
-    _check_model_fits_dataset(net_config, dataset)
+    dataset = _open_dataset(args.data, net_config)
     if not (0 <= args.index < len(dataset.samples)):
         raise ValueError(f"sample index {args.index} out of range "
                          f"[0, {len(dataset.samples)})")
@@ -367,8 +358,7 @@ def cmd_predict(args):
     dist = run_sfp(params, net_config, sample, cfg.dropout, n, rng_seed=args.seed)
 
     os.makedirs(args.out, exist_ok=True)
-    prov = _provenance(args, cfg, {"dataset_sha256": file_sha256(args.data),
-                                   "model": os.path.basename(args.model),
+    prov = _provenance(args, cfg, {"model": os.path.basename(args.model),
                                    "sample_index": args.index, "passes": n})
     write_csv(os.path.join(args.out, "distribution.csv"),
               ["pass_index", "p_collision"],
@@ -401,8 +391,7 @@ def cmd_predict(args):
     return 0
 
 
-def cmd_anova(args):
-    cfg = cfgmod.load_config(args.config, args.overrides)
+def cmd_anova(args, cfg):
     _prov, header, rows = read_csv(args.folds)
     if header[:2] != ["group", "value"]:
         raise ValueError(f"expected CSV columns group,value in {args.folds}, got {header}")
@@ -428,8 +417,7 @@ def cmd_anova(args):
     return 0
 
 
-def cmd_inspect(args):
-    cfg = cfgmod.load_config(args.config, args.overrides)
+def cmd_inspect(args, cfg):
     dataset = datamod.deserialize_dataset(args.data)
     labels = np.array([s.label for s in dataset.samples])
     rows = [["all", len(labels), int(labels.sum()), int((1 - labels).sum())]]
@@ -445,7 +433,7 @@ def cmd_inspect(args):
         print(f"{row[0]}: samples={row[1]} collision={row[2]} no_collision={row[3]}")
     if args.out:
         write_csv(args.out, ["subset", "samples", "collision", "no_collision"], rows,
-                  _provenance(args, cfg, {"dataset_sha256": file_sha256(args.data)}))
+                  _provenance(args, cfg))
     return 0
 
 
@@ -467,7 +455,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 1
     try:
-        return _COMMANDS[args.command](args)
+        cfg = cfgmod.load_config(args.config, args.overrides)
+        return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -68,6 +68,10 @@ class SimSettings:
         for cam in self.cameras:
             if cam not in CAMERA_ORDER:
                 raise ValueError(f"unknown camera {cam!r}; choose from {CAMERA_ORDER}")
+        # a DPMD file names its n cameras by the first n of CAMERA_ORDER
+        if self.cameras != CAMERA_ORDER[: len(self.cameras)]:
+            raise ValueError(f"cameras must be the first n of {CAMERA_ORDER} in that "
+                             f"order, got {self.cameras}")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Episodes are truncated to the five seconds before the collision (or the
 closest approach), converted to frames carrying quantized images plus the
 9-entry proprioceptive state vector, and cut into overlapping fixed-length
-windows that inherit the episode label.
+windows that inherit the episode label. gen-data shuffles the windows once
+(assemble_dataset) and stores them in that order; split_samples is the one
+rule that cuts a stored list into train/validate/test, and kfold_plan the
+one balanced fold partition.
 
 Frames hold images in the 8-bit storage form (value = round(intensity*255));
 they are promoted to float64 in [0, 1] when batches are stacked for the
@@ -63,15 +66,6 @@ class SequenceSample:
     cameras: tuple
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignment: np.ndarray  # index -> fold
-
-    def fold_indices(self, fold):
-        return np.nonzero(self.assignment == fold)[0]
-
-
 @dataclass
 class Dataset:
     samples: list
@@ -89,7 +83,7 @@ def quantize_image(img):
     return np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
 
 
-def truncate_episode(episode, horizon=5.0, cam_mount=DASHCAM_MOUNT):
+def truncate_episode(episode, horizon=5.0):
     """Keep frames within `horizon` seconds before the event; convert to Frames."""
     kept = [f for f in episode.frames if in_window(f.t, episode.event_time, horizon)]
     if not kept:
@@ -98,7 +92,7 @@ def truncate_episode(episode, horizon=5.0, cam_mount=DASHCAM_MOUNT):
     out = []
     for f in kept:
         s = f.sensor
-        state = np.array([cam_mount[0], cam_mount[1], cam_mount[2],
+        state = np.array([*DASHCAM_MOUNT,
                           s.x, s.y, 0.0, s.speed, s.torque_cmd, float(s.accelerator)])
         images = tuple(quantize_image(f.images[c]) for c in cameras)
         out.append(Frame(images=images, state=state, action=float(f.action)))
@@ -120,48 +114,28 @@ def windowize(frames, seq_len=5, stride=1, label=0, episode_id=0, cameras=CAMERA
     return out
 
 
-def samples_from_episodes(episodes, seq_len=5, stride=1, horizon=5.0):
-    """Truncate and windowize every episode; episode ids index the input list."""
-    samples = []
-    for eid, ep in enumerate(episodes):
-        frames = truncate_episode(ep, horizon)
-        if not frames:
-            continue
-        cameras = tuple(c for c in CAMERA_ORDER if c in ep.frames[0].images)
-        samples.extend(windowize(frames, seq_len, stride, label=ep.label,
-                                 episode_id=eid, cameras=cameras))
-    return samples
-
-
-@dataclass
-class AssembledDataset:
-    samples: list        # the shuffled order, train + validate + test
-    train: list
-    validate: list
-    test: list
-
-
-def assemble_dataset(samples, rng_seed, split=(0.8, 0.1, 0.1)):
-    """Deterministic shuffle and contiguous train/validate/test split."""
+def assemble_dataset(samples, rng_seed):
+    """The samples in one deterministic shuffled order, as gen-data stores them."""
     if not samples:
         raise ValueError("no samples to assemble")
-    if len(split) != 3 or any(p < 0 for p in split) or abs(sum(split) - 1.0) > 1e-9:
-        raise ValueError("split must be three non-negative fractions summing to 1")
     order = np.random.default_rng(rng_seed).permutation(len(samples))
-    shuffled = [samples[i] for i in order]
-    n = len(shuffled)
+    return [samples[i] for i in order]
+
+
+def split_samples(samples, split):
+    """Contiguous (train, validate, test) parts of a stored sample list.
+
+    The first floor(split[0]*n) samples train, the next floor(split[1]*n)
+    validate and the rest test.
+    """
+    n = len(samples)
     n_train = int(np.floor(split[0] * n))
     n_val = int(np.floor(split[1] * n))
-    return AssembledDataset(
-        samples=shuffled,
-        train=shuffled[:n_train],
-        validate=shuffled[n_train : n_train + n_val],
-        test=shuffled[n_train + n_val :],
-    )
+    return samples[:n_train], samples[n_train : n_train + n_val], samples[n_train + n_val :]
 
 
 def kfold_plan(n, k=10, rng_seed=0):
-    """Random balanced partition of n indices into k folds."""
+    """Random balanced partition of n indices into k folds: index -> fold array."""
     if k < 1:
         raise ValueError("k must be positive")
     if n < k:
@@ -175,7 +149,7 @@ def kfold_plan(n, k=10, rng_seed=0):
         size = base + (1 if fold < extra else 0)
         assignment[perm[pos : pos + size]] = fold
         pos += size
-    return FoldPlan(k=k, assignment=assignment)
+    return assignment
 
 
 # --- binary serialization ----------------------------------------------------
@@ -290,13 +264,26 @@ def write_meta(samples, scenarios_by_episode, path):
 
 
 def read_meta(path):
-    """Returns (episode_ids, scenarios) arrays aligned with sample indices."""
+    """Returns (episode_ids, scenarios) arrays aligned with sample indices.
+
+    A missing header, a short row or a non-integer field raises ValueError
+    naming the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"empty meta file, no header at {path}:1")
         if header[:4] != ["sample_index", "episode_id", "scenario", "window_start"]:
-            raise ValueError(f"unrecognized meta header {header!r} in {path}")
-        rows = [(int(r[0]), int(r[1]), int(r[2])) for r in reader]
+            raise ValueError(f"unrecognized meta header {header!r} at {path}:1")
+        rows = []
+        for r in reader:
+            try:
+                rows.append((int(r[0]), int(r[1]), int(r[2])))
+            except (IndexError, ValueError):
+                raise ValueError(f"bad meta row {r!r} at {path}:{reader.line_num}; "
+                                 f"expected integer sample_index, episode_id, "
+                                 f"scenario") from None
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"meta file {path} does not cover sample indices contiguously")

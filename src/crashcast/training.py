@@ -3,8 +3,12 @@
 Everything is deterministic given the seeds: batch order and training-time
 dropout masks derive from the rng_seed argument of train(), and run_kfold
 derives every fold's seeds from its own, through the same avalanche mixer
-used for stochastic forward passes. Fold training runs are independent and
-can execute in parallel worker processes; each fold fit runs with OpenBLAS
+used for stochastic forward passes. train() stops with stop_reason
+"nonfinite", before applying the update, when a batch's loss or gradient
+holds a NaN or an infinity.
+
+Fold training runs are independent; fork_map, the package's one worker
+pool, runs them in forked processes. Each fold fit runs with OpenBLAS
 pinned to one thread, so fold results do not depend on the worker count or
 on the inherited BLAS thread setting.
 """
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import kfold_plan
 from .dropout import mix64, sample_masks
 from .network import dpm_forward_batch, dpm_gradients, init_params, sample_losses
 from .stats import ConfusionCounts, accuracy_of, mcc_of, mean_std
@@ -108,7 +113,8 @@ def _mean_val_loss(params, net_config, valset, chunk=64):
 
 
 def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_seed=0):
-    """Train to max iterations or early stop; returns the best checkpoint.
+    """Train to max iterations, early stop or a non-finite loss or gradient;
+    returns the best checkpoint.
 
     The input parameter object is not mutated; training works on a copy and
     the returned parameters come from the best validation checkpoint (the
@@ -146,6 +152,9 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
             masks = sample_masks(dropout_spec, params,
                                  mix64(mix64(rng_seed, 7), iteration)).masks
         loss, grads = dpm_gradients(params, net_config, batch, labels, masks)
+        if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
+            report.stop_reason = "nonfinite"
+            break
         report.losses.append((iteration, loss))
         params, state = apply_update(params, grads, state, config)
         report.final_iteration = iteration
@@ -221,10 +230,8 @@ class KFoldResult:
 
 def fold_assignment(samples, k, fold_unit="episodes", rng_seed=0):
     """Sample index -> fold index, folding at episode or sample granularity."""
-    from .data import kfold_plan
-
     if fold_unit == "samples":
-        return kfold_plan(len(samples), k, rng_seed).assignment
+        return kfold_plan(len(samples), k, rng_seed)
     if fold_unit != "episodes":
         raise ValueError(f"unknown fold unit {fold_unit!r}")
     episode_ids = [s.episode_id for s in samples]
@@ -232,7 +239,7 @@ def fold_assignment(samples, k, fold_unit="episodes", rng_seed=0):
         raise ValueError("episode identity unknown; load the sidecar meta or fold at sample level")
     unique = sorted(set(episode_ids))
     plan = kfold_plan(len(unique), k, rng_seed)
-    fold_of_episode = {eid: int(plan.assignment[i]) for i, eid in enumerate(unique)}
+    fold_of_episode = {eid: int(plan[i]) for i, eid in enumerate(unique)}
     return np.array([fold_of_episode[e] for e in episode_ids], dtype=np.int64)
 
 
@@ -255,20 +262,29 @@ def _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
     return FoldResult(fold=fold, accuracy=accuracy_of(counts), mcc=mcc_of(counts), counts=counts)
 
 
-_FOLD_CONTEXT = {}
+_FORK_FN = None  # the function fork_map's workers run, inherited through fork
 
 
-def _fold_worker_init(samples, assignment, net_config, config, dropout_spec,
-                      val_fraction, rng_seed):
-    _FOLD_CONTEXT["args"] = (samples, assignment, net_config, config, dropout_spec,
-                             val_fraction, rng_seed)
+def _fork_call(task):
+    return _FORK_FN(task)
 
 
-def _fold_worker_run(fold):
-    samples, assignment, net_config, config, dropout_spec, val_fraction, rng_seed = \
-        _FOLD_CONTEXT["args"]
-    return _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
-                         val_fraction, rng_seed)
+def fork_map(fn, tasks, jobs):
+    """[fn(t) for t in tasks], in `jobs` forked worker processes when jobs > 1.
+
+    The workers inherit fn through fork, so it may be a closure; only the
+    tasks and the results are pickled. Results keep the order of the tasks.
+    """
+    if jobs <= 1:
+        return [fn(t) for t in tasks]
+    global _FORK_FN
+    _FORK_FN = fn
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
+            return list(pool.map(_fork_call, tasks))
+    finally:
+        _FORK_FN = None
 
 
 def _openblas_threads():
@@ -328,17 +344,13 @@ def run_kfold(samples, k, net_config, config, dropout_spec=None, fold_unit="epis
     if k < 2:
         raise ValueError("k-fold needs k >= 2")
     assignment = fold_assignment(samples, k, fold_unit, rng_seed)
+
+    def fit(fold):
+        return _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
+                             val_fraction, rng_seed)
+
     with _one_blas_thread():
-        if jobs > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                                     initializer=_fold_worker_init,
-                                     initargs=(samples, assignment, net_config, config,
-                                               dropout_spec, val_fraction, rng_seed)) as pool:
-                folds = list(pool.map(_fold_worker_run, range(k)))
-        else:
-            folds = [_run_one_fold(f, samples, assignment, net_config, config, dropout_spec,
-                                   val_fraction, rng_seed) for f in range(k)]
+        folds = fork_map(fit, range(k), jobs)
     acc_mean, acc_std = mean_std([f.accuracy for f in folds])
     mcc_mean, mcc_std = mean_std([f.mcc for f in folds])
     return KFoldResult(folds=folds, accuracy_mean=acc_mean, accuracy_std=acc_std,

@@ -75,7 +75,7 @@ def test_semantic_validation():
     with pytest.raises(ConfigError):
         parse_config("eval.fold_unit = windows")
     with pytest.raises(ConfigError):
-        parse_config("net.cameras = left_mirror\nsim.cameras = dashcam")
+        parse_config("net.cameras = dashcam\nsim.cameras = left_mirror")
     with pytest.raises(ConfigError):
         parse_config("this is not a key value line")
 
@@ -91,8 +91,11 @@ BAD_SETTINGS = [
     ("net.input_mode=bogus", "bad net settings"),
     ("net.conv_kernels=2", "bad net settings"),
     ("sim.fov_deg=200", "bad sim settings"),
+    ("sim.cameras=dashcam", "'sim.cameras'"),
+    ("sim.cameras=right_mirror,left_mirror", "'sim.cameras'"),
     ("data.seq_len=0", "'data.seq_len'"),
     ("data.window_stride=0", "'data.window_stride'"),
+    ("data.split=0.5,0.5,0.5", "'data.split'"),
     ("eval.fold_k=1", "'eval.fold_k'"),
     ("eval.bins=0", "'eval.bins'"),
     ("eval.val_fraction=1.0", "'eval.val_fraction'"),
@@ -327,6 +330,21 @@ def test_cli_jobs_is_a_usage_error_where_nothing_runs_in_parallel(argv, capsys):
     err = capsys.readouterr().err
     assert "unrecognized arguments: --jobs 3" in err
     assert f"usage: crashcast {argv[0]}" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--out", "x.dpmd", "--jobs"),
+    ("experiment", "--data", "d.dpmd", "--sweep", "camera", "--out", "exp", "--jobs"),
+    ("predict", "--data", "d.dpmd", "--model", "m.dpmw", "--index", "0", "--out", "p", "--sfp"),
+], ids=lambda argv: argv[0])
+def test_cli_counts_below_one_are_usage_errors(tmp_path, monkeypatch, capsys, argv, value):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, value) == 1
+    err = capsys.readouterr().err
+    assert f"usage: crashcast {argv[0]}" in err
+    assert f"argument {argv[-1]}: expected a positive integer, got '{value}'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

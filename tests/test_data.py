@@ -7,7 +7,6 @@ import pytest
 
 from crashcast.data import (
     HEADER_SIZE,
-    AssembledDataset,
     DatasetFormatError,
     Frame,
     SequenceSample,
@@ -17,8 +16,8 @@ from crashcast.data import (
     quantize_image,
     read_meta,
     sample_byte_size,
-    samples_from_episodes,
     serialize_dataset,
+    split_samples,
     truncate_episode,
     windowize,
     write_meta,
@@ -108,38 +107,29 @@ def test_windowize_consecutive_and_label_inheritance():
             assert s.frames[t] is frames[i + t]
 
 
-def test_samples_from_episodes_assigns_episode_ids():
-    cams = default_cameras(rows=4, cols=4)
-    eps = [run_scenario(ScenarioSpec(4, 0.1), cams), run_scenario(ScenarioSpec(3, 0.1), cams)]
-    samples = samples_from_episodes(eps, seq_len=5, stride=20)
-    ids = {s.episode_id for s in samples}
-    assert ids == {0, 1}
-    for s in samples:
-        assert s.label == eps[s.episode_id].label
-        assert len(s.frames) == 5
-
-
 def test_assemble_dataset_deterministic_partition():
     rng = np.random.default_rng(2)
     samples = fake_samples(rng, 50)
     a = assemble_dataset(samples, rng_seed=9)
     b = assemble_dataset(samples, rng_seed=9)
     c = assemble_dataset(samples, rng_seed=10)
-    assert [id(s) for s in a.samples] == [id(s) for s in b.samples]
-    assert [id(s) for s in a.samples] != [id(s) for s in c.samples]
-    assert len(a.train) + len(a.validate) + len(a.test) == 50
-    assert len(a.train) == 40 and len(a.validate) == 5
+    assert [id(s) for s in a] == [id(s) for s in b]
+    assert [id(s) for s in a] != [id(s) for s in c]
+    train, validate, test = split_samples(a, (0.8, 0.1, 0.1))
+    assert len(train) + len(validate) + len(test) == 50
+    assert len(train) == 40 and len(validate) == 5
+    # the parts are contiguous runs of the stored order
+    assert [id(s) for s in train + validate + test] == [id(s) for s in a]
     # shuffling is a permutation: same multiset of objects
-    assert sorted(map(id, a.samples)) == sorted(map(id, samples))
-    assert isinstance(a, AssembledDataset)
+    assert sorted(map(id, a)) == sorted(map(id, samples))
 
 
 def test_assemble_dataset_split_class_balance():
     rng = np.random.default_rng(3)
     samples = fake_samples(rng, 1200)
-    a = assemble_dataset(samples, rng_seed=11)
+    parts = split_samples(assemble_dataset(samples, rng_seed=11), (0.8, 0.1, 0.1))
     global_rate = np.mean([s.label for s in samples])
-    for part in (a.train, a.validate, a.test):
+    for part in parts:
         rate = np.mean([s.label for s in part])
         assert abs(rate - global_rate) <= 0.10
 
@@ -147,21 +137,18 @@ def test_assemble_dataset_split_class_balance():
 def test_assemble_validates_input():
     with pytest.raises(ValueError):
         assemble_dataset([], 0)
-    rng = np.random.default_rng(4)
-    with pytest.raises(ValueError):
-        assemble_dataset(fake_samples(rng, 5), 0, split=(0.5, 0.5, 0.5))
 
 
 def test_kfold_plan_balanced_partition():
     plan = kfold_plan(5000, k=10, rng_seed=5)
-    sizes = [len(plan.fold_indices(f)) for f in range(10)]
+    sizes = [int((plan == f).sum()) for f in range(10)]
     assert sizes == [500] * 10
     plan = kfold_plan(10, k=10, rng_seed=6)
-    assert [len(plan.fold_indices(f)) for f in range(10)] == [1] * 10
+    assert [int((plan == f).sum()) for f in range(10)] == [1] * 10
     plan = kfold_plan(23, k=5, rng_seed=7)
-    sizes = [len(plan.fold_indices(f)) for f in range(5)]
+    sizes = [int((plan == f).sum()) for f in range(5)]
     assert max(sizes) - min(sizes) <= 1
-    all_idx = np.concatenate([plan.fold_indices(f) for f in range(5)])
+    all_idx = np.concatenate([np.nonzero(plan == f)[0] for f in range(5)])
     assert sorted(all_idx.tolist()) == list(range(23))
     with pytest.raises(ValueError):
         kfold_plan(9, k=10)
@@ -170,9 +157,9 @@ def test_kfold_plan_balanced_partition():
 def test_kfold_plan_deterministic():
     a = kfold_plan(100, 10, rng_seed=8)
     b = kfold_plan(100, 10, rng_seed=8)
-    assert (a.assignment == b.assignment).all()
+    assert (a == b).all()
     c = kfold_plan(100, 10, rng_seed=9)
-    assert not (a.assignment == c.assignment).all()
+    assert not (a == c).all()
 
 
 def test_serialize_round_trip_bit_exact(tmp_path):
@@ -317,6 +304,24 @@ def test_meta_sidecar_round_trip(tmp_path):
     episode_ids, scen = read_meta(path)
     assert (episode_ids == np.array([s.episode_id for s in samples])).all()
     assert (scen == np.array([scenarios[s.episode_id] for s in samples])).all()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("sample_index,episode_id,scenario,window_start\n0,0,1,0\n1,0\n", 3),
+    ("sample_index,episode_id,scenario,window_start\n0,zero,1,0\n", 2),
+], ids=["empty", "short-row", "non-integer"])
+def test_bad_meta_sidecar_names_file_and_line(tmp_path, capsys, text, line):
+    data = tmp_path / "d.dpmd"
+    serialize_dataset(fake_samples(np.random.default_rng(15), 2), data)
+    meta = tmp_path / "d.dpmd.meta.csv"
+    meta.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read_meta(meta)
+    assert f"{meta}:{line}" in str(err.value)
+    assert cli_main(["inspect", "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(meta) in err and "Traceback" not in err
 
 
 def test_frame_validates_state_length():

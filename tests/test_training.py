@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,6 +161,51 @@ def test_train_does_not_mutate_input_params():
     train(params, config, tc, trainset, [])
     for n, t in params.tensors().items():
         assert (t == before[n]).all()
+
+
+@pytest.mark.parametrize("bad", ["loss", "gradient"])
+def test_train_stops_on_non_finite_before_the_update(monkeypatch, bad):
+    config = tiny_config()
+    params = init_params(config, seed=11)
+    rng = np.random.default_rng(12)
+    trainset = make_samples(rng, config, 4)
+    tc = TrainConfig(batch_size=2, max_iterations=10, dropout_in_training=False)
+    want, _ = train(params, config, replace(tc, max_iterations=2), trainset, [], rng_seed=4)
+    real = training.dpm_gradients
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            if bad == "loss":
+                loss = math.nan
+            else:
+                name = next(iter(grads))
+                grads[name] = grads[name].copy()
+                grads[name].flat[0] = math.inf
+        return loss, grads
+
+    monkeypatch.setattr(training, "dpm_gradients", poisoned)
+    got, report = train(params, config, tc, trainset, [], rng_seed=4)
+    assert report.stop_reason == "nonfinite"
+    assert report.final_iteration == 2 and len(report.losses) == 2
+    # the third step's update was never applied
+    for name, t in got.tensors().items():
+        assert (t == want.tensors()[name]).all()
+
+
+def test_fork_map_runs_closures_in_task_order():
+    offset = 10
+
+    def add(task):  # a closure: only tasks and results cross the fork
+        return task + offset, os.getpid()
+
+    seq = training.fork_map(add, range(5), 1)
+    par = training.fork_map(add, range(5), 2)
+    assert [r for r, _ in seq] == [r for r, _ in par] == [10, 11, 12, 13, 14]
+    assert {pid for _, pid in seq} == {os.getpid()}
+    assert os.getpid() not in {pid for _, pid in par}
 
 
 def test_full_batch_sgd_loss_non_increasing_on_smooth_start():
