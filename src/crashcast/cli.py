@@ -152,10 +152,11 @@ def _provenance(args, cfg, extra=None):
 
 
 def _gen_episode(task):
-    sid, delay, dt, max_duration, cams, world, horizon = task
+    sid, delay, dt, max_duration, cams, world, horizon, seq_len, stride = task
     episode = run_scenario(ScenarioSpec(sid, delay, dt=dt, max_duration=max_duration),
                            cams, world, horizon)
-    return sid, episode.label, datamod.truncate_episode(episode, horizon)
+    frames = datamod.truncate_episode(episode, horizon)
+    return sid, episode.label, datamod.windowize(frames, seq_len, stride, label=episode.label)
 
 
 def cmd_gen_data(args, cfg):
@@ -170,38 +171,35 @@ def cmd_gen_data(args, cfg):
         rng = np.random.default_rng(mix64(args.seed, sid))
         for delay in rng.uniform(lo, hi, cfg.sim.episodes_per_scenario):
             tasks.append((sid, float(delay), cfg.sim.dt, cfg.sim.max_duration,
-                          cams, world, cfg.data.horizon))
+                          cams, world, cfg.data.horizon, cfg.data.seq_len,
+                          cfg.data.window_stride))
     results = fork_map(_gen_episode, tasks, args.jobs)
 
-    samples = []
-    scenario_of_episode = {}
     per_scenario = {sid: {"episodes": 0, "collision_episodes": 0,
                           "samples": 0, "collision_samples": 0}
                     for sid in cfg.sim.scenarios}
-    for eid, (sid, label, frames) in enumerate(results):
-        scenario_of_episode[eid] = sid
+    for sid, label, windows in results:
         stats = per_scenario[sid]
         stats["episodes"] += 1
         stats["collision_episodes"] += label
-        windows = datamod.windowize(frames, cfg.data.seq_len, cfg.data.window_stride,
-                                    label=label, episode_id=eid,
-                                    cameras=tuple(cfg.sim.cameras))
         stats["samples"] += len(windows)
         stats["collision_samples"] += len(windows) * label
-        samples.extend(windows)
-    if not samples:
+    scenario_of_episode, _labels, windows_of_episode = zip(*results)
+    if not sum(map(len, windows_of_episode)):
         raise ValueError("generation produced no samples; check episode and window settings")
 
-    samples = datamod.assemble_dataset(samples, rng_seed=mix64(args.seed, 999))
+    samples, episode_ids, window_index = datamod.assemble_dataset(
+        windows_of_episode, rng_seed=mix64(args.seed, 999))
     datamod.serialize_dataset(samples, args.out)
-    datamod.write_meta(samples, scenario_of_episode, args.out + ".meta.csv")
+    datamod.write_meta(episode_ids, np.array(scenario_of_episode)[episode_ids],
+                       window_index * cfg.data.window_stride, args.out + ".meta.csv")
 
     rows = []
     for sid in cfg.sim.scenarios:
         s = per_scenario[sid]
         rows.append([sid, s["episodes"], s["collision_episodes"],
                      s["samples"], s["collision_samples"]])
-    n_coll = sum(s.label for s in samples)
+    n_coll = int(samples.label.sum())
     collision_episodes = sum(r[2] for r in rows)
     rows.append(["total", len(results), collision_episodes,
                  len(samples), n_coll])
@@ -237,7 +235,7 @@ def cmd_train(args, cfg):
     net_config = cfgmod.network_config(cfg)
     dataset = _open_dataset(args.data, net_config)
     trainset, valset, _testset = datamod.split_samples(dataset.samples, cfg.data.split)
-    if not trainset:
+    if not len(trainset):
         raise ValueError("training split is empty; adjust data.split")
     params = init_params(net_config, seed=mix64(args.seed, 1))
     trained, report = train(params, net_config, cfg.train, trainset, valset, cfg.dropout,
@@ -250,6 +248,7 @@ def cmd_train(args, cfg):
         rows.insert(0, [0, "", val_by_iter[0]])
     write_csv(args.out + ".train.csv", ["iteration", "train_loss", "val_loss"], rows,
               _provenance(args, cfg, {
+                  "data_split": _setting(cfg, "data.split"),
                   "stop_reason": report.stop_reason,
                   "final_iteration": report.final_iteration,
                   "best_iteration": report.best_iteration,
@@ -264,11 +263,37 @@ def cmd_train(args, cfg):
     return 0
 
 
+def _setting(cfg, key):
+    """The canonical text of one config value, as config_hash() reads it."""
+    return dict(cfg.items())[key]
+
+
+def _check_training_split(args, cfg):
+    """Refuse to score a model on a split other than the one it was trained with.
+
+    train records data.split and the dataset hash in <model>.train.csv; when
+    that file names the dataset being scored, a different split would mix
+    training samples into the test part.
+    """
+    train_csv = args.model + ".train.csv"
+    if not os.path.exists(train_csv):
+        return
+    prov, _header, _rows = read_csv(train_csv)
+    trained = prov.get("data_split")
+    split = _setting(cfg, "data.split")
+    if (trained is not None and trained != split
+            and prov.get("dataset_sha256") == file_sha256(args.data)):
+        raise ValueError(f"data.split {split} differs from the data.split {trained} that "
+                         f"trained {args.model} on this dataset ({train_csv}): its test "
+                         f"part would hold training samples")
+
+
 def cmd_eval(args, cfg):
     net_config, params = load_checkpoint(args.model)
     dataset = _open_dataset(args.data, net_config)
+    _check_training_split(args, cfg)
     _trainset, _valset, testset = datamod.split_samples(dataset.samples, cfg.data.split)
-    if not testset:
+    if not len(testset):
         raise ValueError("test split is empty; adjust data.split")
     _preds, counts = evaluate(params, net_config, testset, threshold=cfg.eval.threshold)
     acc = accuracy_of(counts)
@@ -294,13 +319,9 @@ def cmd_experiment(args, cfg):
     dataset = _open_dataset(args.data, *(net_config for _name, net_config in groups))
     fold_unit = args.fold_unit or cfg.eval.fold_unit
     meta_path = args.data + ".meta.csv"
+    episode_ids = None
     if os.path.exists(meta_path):
-        episode_ids, _scenarios = datamod.read_meta(meta_path)
-        if len(episode_ids) != len(dataset.samples):
-            raise ValueError(f"meta file {meta_path} covers {len(episode_ids)} samples, "
-                             f"dataset has {len(dataset.samples)}")
-        for s, eid in zip(dataset.samples, episode_ids):
-            s.episode_id = int(eid)
+        episode_ids, _scenarios = datamod.read_meta(meta_path, len(dataset.samples))
     elif fold_unit == "episodes":
         raise ValueError(
             f"episode-level folding needs the sidecar {meta_path}; "
@@ -314,7 +335,8 @@ def cmd_experiment(args, cfg):
     results = {}
     for group, net_config in groups:
         result = run_kfold(dataset.samples, cfg.eval.fold_k, net_config, cfg.train, cfg.dropout,
-                           fold_unit=fold_unit, val_fraction=cfg.eval.val_fraction,
+                           episode_ids=episode_ids, fold_unit=fold_unit,
+                           val_fraction=cfg.eval.val_fraction,
                            rng_seed=fold_seed, jobs=args.jobs)
         results[group] = result
         for f in result.folds:
@@ -419,16 +441,16 @@ def cmd_anova(args, cfg):
 
 def cmd_inspect(args, cfg):
     dataset = datamod.deserialize_dataset(args.data)
-    labels = np.array([s.label for s in dataset.samples])
-    rows = [["all", len(labels), int(labels.sum()), int((1 - labels).sum())]]
+    labels = dataset.samples.label
+    n_coll = int(labels.sum())
+    rows = [["all", len(labels), n_coll, len(labels) - n_coll]]
     meta_path = args.data + ".meta.csv"
     if os.path.exists(meta_path):
-        _eids, scenarios = datamod.read_meta(meta_path)
-        if len(scenarios) == len(labels):
-            for sid in sorted(set(scenarios.tolist())):
-                pick = scenarios == sid
-                rows.append([f"scenario_{sid}", int(pick.sum()),
-                             int(labels[pick].sum()), int((pick & (labels == 0)).sum())])
+        _eids, scenarios = datamod.read_meta(meta_path, len(labels))
+        for sid in sorted(set(scenarios.tolist())):
+            pick = scenarios == sid
+            rows.append([f"scenario_{sid}", int(pick.sum()),
+                         int(labels[pick].sum()), int((pick & (labels == 0)).sum())])
     for row in rows:
         print(f"{row[0]}: samples={row[1]} collision={row[2]} no_collision={row[3]}")
     if args.out:

@@ -1,16 +1,19 @@
 """Episode-to-sample pipeline and the bit-exact binary dataset format.
 
 Episodes are truncated to the five seconds before the collision (or the
-closest approach), converted to frames carrying quantized images plus the
-9-entry proprioceptive state vector, and cut into overlapping fixed-length
-windows that inherit the episode label. gen-data shuffles the windows once
-(assemble_dataset) and stores them in that order; split_samples is the one
-rule that cuts a stored list into train/validate/test, and kfold_plan the
-one balanced fold partition.
+closest approach), converted to frame records carrying quantized images plus
+the 9-entry proprioceptive state vector, and cut into overlapping
+fixed-length windows that inherit the episode label. gen-data shuffles the
+windows once (assemble_dataset) and stores them in that order; split_samples
+is the one rule that cuts a stored array into train/validate/test, and
+kfold_plan the one balanced fold partition.
 
-Frames hold images in the 8-bit storage form (value = round(intensity*255));
-they are promoted to float64 in [0, 1] when batches are stacked for the
-network. Values on the k/255 grid round-trip through the file bit-exactly.
+In memory a dataset is the DPMD record array itself: one numpy record per
+sample (sample_dtype), read from the file as a single view and written back
+from its buffer. Images stay in the 8-bit storage form
+(value = round(intensity*255)) and state and action values in float32; both
+are promoted to float64 when a batch is handed to the network. Values on the
+k/255 grid round-trip through the file bit-exactly.
 
 File format (little-endian):
 
@@ -21,6 +24,10 @@ File format (little-endian):
 The camera count n is 1..3, naming the first n of CAMERA_ORDER, and a file
 with samples has a non-zero window length, rows and cols. A header that
 breaks either rule is refused at the offending field's offset.
+
+The format holds no episode identity: gen-data writes each sample's episode,
+scenario and window start to the .meta.csv sidecar (write_meta), and
+read_meta returns them as integer arrays aligned with the records.
 """
 
 import csv
@@ -46,29 +53,22 @@ class DatasetFormatError(ValueError):
         self.offset = offset
 
 
-@dataclass
-class Frame:
-    images: tuple        # one (rows, cols, 1) array per camera, uint8 storage form
-    state: np.ndarray    # (cam_x, cam_y, cam_z, veh_x, veh_y, veh_z, speed, torque, accelerator)
-    action: float
-
-    def __post_init__(self):
-        if np.shape(self.state) != (9,):
-            raise ValueError("state vector must have exactly 9 entries")
+def frame_dtype(n_cams, rows, cols):
+    """One frame of a sample record: the images of the first n_cams cameras of
+    CAMERA_ORDER, the 9 state values (cam_x, cam_y, cam_z, veh_x, veh_y, veh_z,
+    speed, torque, accelerator) and the action."""
+    return np.dtype([("images", np.uint8, (n_cams, rows, cols)), ("state", "<f4", (9,)),
+                     ("action", "<f4")])
 
 
-@dataclass
-class SequenceSample:
-    frames: list
-    label: int           # 1 collision, 0 no collision
-    episode_id: int
-    window_start: int
-    cameras: tuple
+def sample_dtype(seq_len, n_cams, rows, cols):
+    """The DPMD sample record: a label byte (1 collision, 0 none), then seq_len frames."""
+    return np.dtype([("label", np.uint8), ("frames", frame_dtype(n_cams, rows, cols), (seq_len,))])
 
 
 @dataclass
 class Dataset:
-    samples: list
+    samples: np.recarray  # one sample_dtype record per sample, in stored order
     cameras: tuple
     seq_len: int
     rows: int
@@ -84,46 +84,66 @@ def quantize_image(img):
 
 
 def truncate_episode(episode, horizon=5.0):
-    """Keep frames within `horizon` seconds before the event; convert to Frames."""
+    """The frames within `horizon` seconds before the event, as frame records."""
     kept = [f for f in episode.frames if in_window(f.t, episode.event_time, horizon)]
     if not kept:
-        return []
+        return np.recarray(0, frame_dtype(0, 0, 0))
     cameras = [c for c in CAMERA_ORDER if c in kept[0].images]
-    out = []
-    for f in kept:
+    rows, cols = kept[0].images[cameras[0]].shape[:2]
+    frames = np.recarray(len(kept), frame_dtype(len(cameras), rows, cols))
+    images, state = frames.images, frames.state
+    for i, f in enumerate(kept):
+        for ci, cam in enumerate(cameras):
+            images[i, ci] = quantize_image(f.images[cam][:, :, 0])
         s = f.sensor
-        state = np.array([*DASHCAM_MOUNT,
-                          s.x, s.y, 0.0, s.speed, s.torque_cmd, float(s.accelerator)])
-        images = tuple(quantize_image(f.images[c]) for c in cameras)
-        out.append(Frame(images=images, state=state, action=float(f.action)))
-    return out
+        state[i] = (*DASHCAM_MOUNT, s.x, s.y, 0.0, s.speed, s.torque_cmd, float(s.accelerator))
+    frames.action = [f.action for f in kept]
+    return frames
 
 
-def windowize(frames, seq_len=5, stride=1, label=0, episode_id=0, cameras=CAMERA_ORDER):
-    """Cut overlapping windows; every window inherits the episode label."""
+def windowize(frames, seq_len=5, stride=1, label=0):
+    """Cut overlapping windows of frame records; every window inherits the episode label.
+
+    Window i starts at frame i * stride.
+    """
     if seq_len < 1:
         raise ValueError("window length must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n = len(frames)
-    out = []
-    for start in range(0, n - seq_len + 1, stride):
-        out.append(SequenceSample(frames=frames[start : start + seq_len], label=label,
-                                  episode_id=episode_id, window_start=start,
-                                  cameras=tuple(cameras)))
+    starts = np.arange(0, len(frames) - seq_len + 1, stride)
+    images = frames.dtype["images"]
+    out = np.recarray(len(starts), sample_dtype(seq_len, *images.shape))
+    out.label = label
+    out.frames = frames[starts[:, None] + np.arange(seq_len)]
     return out
 
 
-def assemble_dataset(samples, rng_seed):
-    """The samples in one deterministic shuffled order, as gen-data stores them."""
-    if not samples:
+def assemble_dataset(parts, rng_seed):
+    """The records of every part in one deterministic shuffled order, as gen-data stores them.
+
+    parts holds one record array per episode, in episode order. Returns the
+    stored records, built once in their shuffled order, and for each the
+    index of its part and its index within that part.
+    """
+    sizes = [len(p) for p in parts]
+    n = sum(sizes)
+    if not n:
         raise ValueError("no samples to assemble")
-    order = np.random.default_rng(rng_seed).permutation(len(samples))
-    return [samples[i] for i in order]
+    order = np.random.default_rng(rng_seed).permutation(n)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    stored = np.recarray(n, parts[0].dtype)
+    lo = 0
+    for part in parts:
+        stored[position[lo : lo + len(part)]] = part
+        lo += len(part)
+    part_index = np.repeat(np.arange(len(parts)), sizes)
+    index_in_part = np.concatenate([np.arange(size) for size in sizes])
+    return stored, part_index[order], index_in_part[order]
 
 
 def split_samples(samples, split):
-    """Contiguous (train, validate, test) parts of a stored sample list.
+    """Contiguous (train, validate, test) parts of a stored sample array.
 
     The first floor(split[0]*n) samples train, the next floor(split[1]*n)
     validate and the rest test.
@@ -154,41 +174,23 @@ def kfold_plan(n, k=10, rng_seed=0):
 
 # --- binary serialization ----------------------------------------------------
 
-def sample_byte_size(seq_len, n_cameras, rows, cols):
-    return 1 + seq_len * (n_cameras * rows * cols + 9 * 4 + 4)
-
-
 def serialize_dataset(samples, path):
-    """Write the DPMD file; byte-identical for identical sample lists."""
-    if not samples:
+    """Write the DPMD file: the header, then the records' own bytes."""
+    records = np.ascontiguousarray(samples)
+    if not len(records):
         raise ValueError("refusing to write an empty dataset")
-    first = samples[0]
-    seq_len = len(first.frames)
-    n_cams = len(first.cameras)
-    rows, cols = np.shape(first.frames[0].images[0])[:2]
-    buf = bytearray()
-    buf += MAGIC
-    buf += struct.pack("<I", VERSION)
-    buf += struct.pack("<Q", len(samples))
-    buf += struct.pack("<BBHH", seq_len, n_cams, rows, cols)
-    for s in samples:
-        if len(s.frames) != seq_len or len(s.cameras) != n_cams:
-            raise ValueError("all samples must share window length and camera count")
-        buf += struct.pack("<B", int(s.label))
-        for f in s.frames:
-            for img in f.images:
-                q = quantize_image(img)
-                if q.shape[:2] != (rows, cols):
-                    raise ValueError("all images must share the dataset resolution")
-                buf += q.tobytes()
-            buf += np.asarray(f.state, dtype="<f4").tobytes()
-            buf += struct.pack("<f", float(f.action))
+    frame = records.dtype["frames"]
+    seq_len, = frame.shape
+    n_cams, rows, cols = frame.base["images"].shape
+    if records.dtype != sample_dtype(seq_len, n_cams, rows, cols):
+        raise ValueError(f"samples are not DPMD sample records: {records.dtype}")
     with open(path, "wb") as fh:
-        fh.write(buf)
+        fh.write(MAGIC + struct.pack("<IQBBHH", VERSION, len(records), seq_len, n_cams, rows, cols))
+        fh.write(records.view(np.uint8))
 
 
 def deserialize_dataset(path):
-    """Read a DPMD file back into Frames/SequenceSamples (bit-exact round trip)."""
+    """Read a DPMD file as one record array viewing the file's bytes (bit-exact round trip)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < HEADER_SIZE:
@@ -206,68 +208,49 @@ def deserialize_dataset(path):
                              ("cols", cols, 20)):
         if count and not value:
             raise DatasetFormatError(f"{name} is 0 in a file of {count} samples", at)
-    cameras = CAMERA_ORDER[:n_cams]
-    per_sample = sample_byte_size(seq_len, n_cams, rows, cols)
-    expected = HEADER_SIZE + count * per_sample
+    try:
+        dtype = sample_dtype(seq_len, n_cams, rows, cols)
+    except ValueError:  # numpy caps a record at 2 GiB
+        raise DatasetFormatError(f"a {seq_len}-frame sample of {n_cams} {rows}x{cols} "
+                                 f"images does not fit one record", 16) from None
+    expected = HEADER_SIZE + count * dtype.itemsize
     if len(blob) != expected:
         raise DatasetFormatError(
             f"expected {expected} bytes for {count} samples, found {len(blob)}",
             min(len(blob), expected))
-    img_bytes = rows * cols
-    frame_bytes = n_cams * img_bytes + 40
-    if count:
-        # the 9 state values and the action of every frame, as one strided view
-        values = np.ndarray((count, seq_len, 10), dtype="<f4", buffer=blob,
-                            offset=HEADER_SIZE + 1 + n_cams * img_bytes,
-                            strides=(per_sample, frame_bytes, 4))
-        if not np.isfinite(values).all():
-            finite = np.isfinite(values).all(axis=2)
-            idx, t = np.unravel_index(np.argmin(finite), finite.shape)
-            raise DatasetFormatError(
-                f"non-finite state or action value in sample {idx}, frame {t}",
-                HEADER_SIZE + int(idx) * per_sample + 1 + int(t) * frame_bytes)
-    samples = []
-    offset = HEADER_SIZE
-    for idx in range(count):
-        label = blob[offset]
-        if label not in (0, 1):
-            raise DatasetFormatError(f"label byte must be 0 or 1, got {label}", offset)
-        offset += 1
-        frames = []
-        for _t in range(seq_len):
-            images = []
-            for _c in range(n_cams):
-                img = np.frombuffer(blob, dtype=np.uint8, count=img_bytes, offset=offset)
-                images.append(img.reshape(rows, cols, 1))
-                offset += img_bytes
-            state = np.frombuffer(blob, dtype="<f4", count=9, offset=offset).astype(np.float64)
-            offset += 36
-            (action,) = struct.unpack_from("<f", blob, offset)
-            offset += 4
-            frames.append(Frame(images=tuple(images), state=state, action=float(action)))
-        # episode identity is not part of the format; -1 means unknown (see sidecar)
-        samples.append(SequenceSample(frames=frames, label=int(label), episode_id=-1,
-                                      window_start=-1, cameras=cameras))
-    return Dataset(samples=samples, cameras=cameras, seq_len=seq_len,
+    samples = np.frombuffer(blob, dtype, count=count, offset=HEADER_SIZE).view(np.recarray)
+    frames = samples.frames
+    finite = np.isfinite(frames.state).all(axis=2) & np.isfinite(frames.action)
+    if not finite.all():
+        idx, t = np.unravel_index(np.argmin(finite), finite.shape)
+        raise DatasetFormatError(
+            f"non-finite state or action value in sample {idx}, frame {t}",
+            HEADER_SIZE + int(idx) * dtype.itemsize + 1 + int(t) * frames.itemsize)
+    bad = np.flatnonzero(samples.label > 1)
+    if bad.size:
+        raise DatasetFormatError(f"label byte must be 0 or 1, got {samples.label[bad[0]]}",
+                                 HEADER_SIZE + int(bad[0]) * dtype.itemsize)
+    return Dataset(samples=samples, cameras=CAMERA_ORDER[:n_cams], seq_len=seq_len,
                    rows=rows, cols=cols)
 
 
 # --- sidecar metadata (episode/scenario identity lives outside the format) ---
 
-def write_meta(samples, scenarios_by_episode, path):
+def write_meta(episode_ids, scenarios, window_starts, path):
     """Sidecar CSV mapping sample index -> episode, scenario, window start."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "episode_id", "scenario", "window_start"])
-        for i, s in enumerate(samples):
-            writer.writerow([i, s.episode_id, scenarios_by_episode[s.episode_id], s.window_start])
+        writer.writerows(zip(range(len(episode_ids)), np.asarray(episode_ids).tolist(),
+                             np.asarray(scenarios).tolist(), np.asarray(window_starts).tolist()))
 
 
-def read_meta(path):
+def read_meta(path, n_samples=None):
     """Returns (episode_ids, scenarios) arrays aligned with sample indices.
 
     A missing header, a short row or a non-integer field raises ValueError
-    naming the file and line.
+    naming the file and line, and so does a file that does not cover exactly
+    n_samples samples, when n_samples is given.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -287,6 +270,9 @@ def read_meta(path):
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
         raise ValueError(f"meta file {path} does not cover sample indices contiguously")
+    if n_samples is not None and len(rows) != n_samples:
+        raise ValueError(f"meta file {path} covers {len(rows)} samples, "
+                         f"dataset has {n_samples}")
     episode_ids = np.array([r[1] for r in rows], dtype=np.int64)
     scenarios = np.array([r[2] for r in rows], dtype=np.int64)
     return episode_ids, scenarios

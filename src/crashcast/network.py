@@ -497,45 +497,30 @@ def _core_input(x, layer):
 # --- full network ------------------------------------------------------------
 
 def inputs_from_samples(config, samples):
-    """Stack SequenceSamples into per-branch batch arrays.
+    """Per-branch float64 batch arrays from DPMD sample records.
 
     Returns (images: dict cam -> (B, L, q, r, c), states: (B, L, d) or None).
-    uint8 images (the dataset storage form) are promoted to float64 in [0, 1].
+    Images are promoted from their uint8 storage form to [0, 1]; state
+    values, with the action appended in images_state_action mode, from float32.
     """
-    if not samples:
+    frames = np.asarray(samples)["frames"]
+    if not len(frames):
         raise ValueError("empty sample batch")
-    for s in samples:
-        if len(s.frames) != config.seq_len:
-            raise ValueError(f"sample has {len(s.frames)} frames, network expects "
-                             f"{config.seq_len}")
+    if frames.shape[1] != config.seq_len:
+        raise ValueError(f"sample has {frames.shape[1]} frames, network expects "
+                         f"{config.seq_len}")
+    stored = CAMERA_ORDER[: frames.dtype["images"].shape[0]]
     images = {}
     for cam in config.cameras:
-        stacks = []
-        for s in samples:
-            if cam not in s.cameras:
-                raise ValueError(f"sample is missing camera {cam!r} required by the network config")
-            ci = s.cameras.index(cam)
-            stacks.append(np.stack([f.images[ci] for f in s.frames]))
-        batch = np.stack(stacks)
-        if batch.dtype == np.uint8:
-            batch = batch / 255.0
-        else:
-            batch = batch.astype(np.float64, copy=False)
-        images[cam] = batch
+        if cam not in stored:
+            raise ValueError(f"sample is missing camera {cam!r} required by the network config")
+        images[cam] = frames["images"][:, :, stored.index(cam), :, :, None] / 255.0
     states = None
-    if config.has_state_branch:
-        rows = []
-        for s in samples:
-            vecs = []
-            for f in s.frames:
-                v = np.asarray(f.state, dtype=np.float64)
-                if v.shape != (9,):
-                    raise ValueError(f"state vector must have 9 entries, got {v.shape}")
-                if config.input_mode == "images_state_action":
-                    v = np.append(v, float(f.action))
-                vecs.append(v)
-            rows.append(np.stack(vecs))
-        states = np.stack(rows)
+    if config.input_mode == "images_state":
+        states = frames["state"].astype(np.float64)
+    elif config.input_mode == "images_state_action":
+        states = np.concatenate([frames["state"], frames["action"][..., None]], axis=2,
+                                dtype=np.float64)
     return images, states
 
 
@@ -607,8 +592,9 @@ def dpm_forward_batch(params, config, samples, masks=None, step_hook=None):
 
 
 def dpm_forward(params, config, sample, masks=None, step_hook=None):
-    """Probabilities [P(collision), P(no collision)] for one sample."""
-    return dpm_forward_batch(params, config, [sample], masks, step_hook=step_hook)[0]
+    """Probabilities [P(collision), P(no collision)] for one sample record."""
+    return dpm_forward_batch(params, config, np.asarray(sample)[None], masks,
+                             step_hook=step_hook)[0]
 
 
 def zero_grads(params):

@@ -2,15 +2,20 @@
 
 CSV is the contract; the self-contained SVG renderer is best-effort eye
 candy for loss curves and histograms. Every writer formats floats with
-repr() so that identical inputs yield byte-identical files.
+repr(), numpy scalars as the Python values they hold, so that identical
+inputs yield byte-identical files.
 """
 
 import csv
 import hashlib
 import io
 
+import numpy as np
+
 
 def fmt(value):
+    if isinstance(value, np.generic):  # numpy scalars print as Python values
+        value = value.item()
     if isinstance(value, float):
         return repr(value)
     return str(value)

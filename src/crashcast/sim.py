@@ -20,10 +20,8 @@ approach) then fixes which frames are rendered. `gen-data` keeps only the
 `data.horizon` seconds before the event, and renders only those frames.
 """
 
-import csv
 import functools
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -332,22 +330,3 @@ def bisect_delay_threshold(scenario_id, world=WorldConfig(), dt=0.05,
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def dump_episode(episode, out_dir):
-    """Debug dump: binary P5 PGM per camera per frame plus a state CSV."""
-    os.makedirs(out_dir, exist_ok=True)
-    for idx, frame in enumerate(episode.frames):
-        for cam_name, img in frame.images.items():
-            path = os.path.join(out_dir, f"f{idx:05}_{cam_name}.pgm")
-            data = np.clip(np.rint(img[:, :, 0] * 255.0), 0, 255).astype(np.uint8)
-            with open(path, "wb") as fh:
-                fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode("ascii"))
-                fh.write(data.tobytes())
-    with open(os.path.join(out_dir, "state.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "t", "x", "y", "heading", "speed", "torque_cmd",
-                         "accelerator", "action"])
-        for idx, frame in enumerate(episode.frames):
-            s = frame.sensor
-            writer.writerow([idx, repr(frame.t), repr(s.x), repr(s.y), repr(s.heading),
-                             repr(s.speed), repr(s.torque_cmd), s.accelerator, frame.action])

@@ -108,7 +108,7 @@ def _mean_val_loss(params, net_config, valset, chunk=64):
     for lo in range(0, len(valset), chunk):
         part = valset[lo : lo + chunk]
         probs = dpm_forward_batch(params, net_config, part)
-        total += float(sample_losses(probs, [s.label for s in part]).sum())
+        total += float(sample_losses(probs, part.label).sum())
     return total / len(valset)
 
 
@@ -120,7 +120,7 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
     the returned parameters come from the best validation checkpoint (the
     final state when no validation set is given).
     """
-    if not trainset:
+    if not len(trainset):
         raise ValueError("training set must be non-empty")
     t_start = time.monotonic()
     params = params.copy()
@@ -131,22 +131,22 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
 
     best_params = params.copy()
     best_val = math.inf
-    if valset:
+    if len(valset):
         best_val = _mean_val_loss(params, net_config, valset)
         report.val_losses.append((0, best_val))
         report.best_val_loss = best_val
     checks_without_improvement = 0
 
-    order = []
+    order = np.empty(0, dtype=np.int64)
     epoch = 0
     for iteration in range(1, config.max_iterations + 1):
         if len(order) < config.batch_size:
             rng = np.random.default_rng(mix64(rng_seed, 1_000_000 + epoch))
-            order = list(rng.permutation(len(trainset)))
+            order = rng.permutation(len(trainset))
             epoch += 1
         take, order = order[: config.batch_size], order[config.batch_size :]
-        batch = [trainset[i] for i in take]
-        labels = [s.label for s in batch]
+        batch = trainset[take]
+        labels = batch.label
         masks = None
         if use_dropout:
             masks = sample_masks(dropout_spec, params,
@@ -159,7 +159,7 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
         params, state = apply_update(params, grads, state, config)
         report.final_iteration = iteration
 
-        if valset and iteration % config.validation_interval == 0:
+        if len(valset) and iteration % config.validation_interval == 0:
             val = _mean_val_loss(params, net_config, valset)
             report.val_losses.append((iteration, val))
             if val < best_val:
@@ -177,30 +177,21 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
         report.stop_reason = "max_iters"
 
     report.wall_time = time.monotonic() - t_start
-    if not valset:
+    if not len(valset):
         return params, report
     return best_params, report
 
 
 def evaluate(params, net_config, testset, threshold=0.5, chunk=64):
     """Deterministic forward (no dropout); collision iff P(collision) >= threshold."""
-    predictions = []
-    tp = tn = fp = fn = 0
+    preds = np.zeros(len(testset), dtype=bool)
     for lo in range(0, len(testset), chunk):
-        part = testset[lo : lo + chunk]
-        probs = dpm_forward_batch(params, net_config, part)
-        preds = (probs[:, 0] >= threshold).astype(int)
-        for s, p in zip(part, preds):
-            predictions.append(int(p))
-            if s.label == 1 and p == 1:
-                tp += 1
-            elif s.label == 1 and p == 0:
-                fn += 1
-            elif s.label == 0 and p == 1:
-                fp += 1
-            else:
-                tn += 1
-    return predictions, ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+        probs = dpm_forward_batch(params, net_config, testset[lo : lo + chunk])
+        preds[lo : lo + chunk] = probs[:, 0] >= threshold
+    hit = testset.label == 1
+    counts = ConfusionCounts(tp=int((hit & preds).sum()), tn=int((~hit & ~preds).sum()),
+                             fp=int((~hit & preds).sum()), fn=int((hit & ~preds).sum()))
+    return preds.astype(int).tolist(), counts
 
 
 @dataclass
@@ -228,19 +219,21 @@ class KFoldResult:
         return [f.mcc for f in self.folds]
 
 
-def fold_assignment(samples, k, fold_unit="episodes", rng_seed=0):
-    """Sample index -> fold index, folding at episode or sample granularity."""
+def fold_assignment(episode_ids, k, fold_unit="episodes", rng_seed=0):
+    """Sample index -> fold index, folding at episode or sample granularity.
+
+    episode_ids holds each sample's episode; -1 marks an unknown one, which
+    only sample-level folding accepts.
+    """
+    episode_ids = np.asarray(episode_ids)
     if fold_unit == "samples":
-        return kfold_plan(len(samples), k, rng_seed)
+        return kfold_plan(len(episode_ids), k, rng_seed)
     if fold_unit != "episodes":
         raise ValueError(f"unknown fold unit {fold_unit!r}")
-    episode_ids = [s.episode_id for s in samples]
-    if any(e < 0 for e in episode_ids):
+    if (episode_ids < 0).any():
         raise ValueError("episode identity unknown; load the sidecar meta or fold at sample level")
-    unique = sorted(set(episode_ids))
-    plan = kfold_plan(len(unique), k, rng_seed)
-    fold_of_episode = {eid: int(plan[i]) for i, eid in enumerate(unique)}
-    return np.array([fold_of_episode[e] for e in episode_ids], dtype=np.int64)
+    unique, episode_of_sample = np.unique(episode_ids, return_inverse=True)
+    return kfold_plan(len(unique), k, rng_seed)[episode_of_sample]
 
 
 def _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
@@ -252,13 +245,10 @@ def _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
     n_val = max(1, int(math.floor(len(pool_idx) * val_fraction)))
     val_idx = pool_idx[perm[:n_val]]
     train_idx = pool_idx[perm[n_val:]]
-    trainset = [samples[i] for i in train_idx]
-    valset = [samples[i] for i in val_idx]
-    testset = [samples[i] for i in test_idx]
     params = init_params(net_config, seed=mix64(rng_seed, fold))
-    trained, _report = train(params, net_config, config, trainset, valset, dropout_spec,
-                             rng_seed=mix64(rng_seed, 100 + fold))
-    _preds, counts = evaluate(trained, net_config, testset)
+    trained, _report = train(params, net_config, config, samples[train_idx], samples[val_idx],
+                             dropout_spec, rng_seed=mix64(rng_seed, 100 + fold))
+    _preds, counts = evaluate(trained, net_config, samples[test_idx])
     return FoldResult(fold=fold, accuracy=accuracy_of(counts), mcc=mcc_of(counts), counts=counts)
 
 
@@ -338,12 +328,18 @@ def _one_blas_thread():
         set_(before)
 
 
-def run_kfold(samples, k, net_config, config, dropout_spec=None, fold_unit="episodes",
-              val_fraction=0.1, rng_seed=0, jobs=1):
-    """Rotate k held-out folds; per-fold accuracy/MCC plus population mean/std."""
+def run_kfold(samples, k, net_config, config, dropout_spec=None, episode_ids=None,
+              fold_unit="episodes", val_fraction=0.1, rng_seed=0, jobs=1):
+    """Rotate k held-out folds; per-fold accuracy/MCC plus population mean/std.
+
+    episode_ids (each sample's episode, from the sidecar) is needed to fold
+    at episode level; without it every episode is unknown.
+    """
     if k < 2:
         raise ValueError("k-fold needs k >= 2")
-    assignment = fold_assignment(samples, k, fold_unit, rng_seed)
+    if episode_ids is None:
+        episode_ids = np.full(len(samples), -1)
+    assignment = fold_assignment(episode_ids, k, fold_unit, rng_seed)
 
     def fit(fold):
         return _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,

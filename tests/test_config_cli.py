@@ -413,7 +413,14 @@ def test_cli_gen_data_deterministic_and_inspectable(tmp_path, capsys):
             assert r[2] == "0"
         if r[0] == "scenario_4":
             assert r[3] == "0"
+    # a sidecar that covers a different number of samples is refused
+    meta = tmp_path / "a.dpmd.meta.csv"
+    lines = meta.read_text().splitlines(keepends=True)
+    meta.write_text("".join(lines[:-1]))
     capsys.readouterr()
+    assert run_cli("inspect", "--data", str(out1)) == 2
+    n = len(lines) - 1
+    assert f"covers {n - 1} samples, dataset has {n}" in capsys.readouterr().err
 
 
 def test_cli_scenario_filter_all_labels_match(tmp_path, capsys):
@@ -455,6 +462,14 @@ def _gen_train_predict(tmp_path, capsys):
     return data, model
 
 
+def _assert_csvs_hold_no_numpy_reprs(root):
+    """Numpy scalars must reach CSV bytes as plain numbers, never as np.float64(...)."""
+    paths = list(root.rglob("*.csv"))
+    assert paths
+    for path in paths:
+        assert "np." not in path.read_text(), path
+
+
 def test_cli_train_eval_predict_round_trip(tmp_path, capsys):
     data, model = _gen_train_predict(tmp_path, capsys)
     assert (tmp_path / "m.dpmw.train.csv").exists()
@@ -486,6 +501,30 @@ def test_cli_train_eval_predict_round_trip(tmp_path, capsys):
     assert run_cli("predict", "--data", str(data), "--model", str(model), *TRAIN_FAST,
                    "--index", "0", "--sfp", "60", "--seed", "8", "--out", str(pred2)) == 0
     assert (pred / "distribution.csv").read_bytes() == (pred2 / "distribution.csv").read_bytes()
+    _assert_csvs_hold_no_numpy_reprs(tmp_path)
+    capsys.readouterr()
+
+
+def test_cli_eval_refuses_a_split_other_than_training(tmp_path, capsys):
+    data = tmp_path / "d.dpmd"
+    model = tmp_path / "m.dpmw"
+    assert run_cli("gen-data", "--seed", "3", "--out", str(data), *FAST_GEN) == 0
+    assert run_cli("train", "--seed", "4", "--data", str(data), "--out", str(model),
+                   *TRAIN_FAST, "--set", "data.split=0.9,0.05,0.05") == 0
+    prov, _header, _rows = read_csv(tmp_path / "m.dpmw.train.csv")
+    assert prov["data_split"] == "0.9,0.05,0.05"
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(data), "--model", str(model), *TRAIN_FAST,
+                   "--set", "data.split=0.5,0.1,0.4") == 2
+    err = capsys.readouterr().err
+    assert "data.split" in err and "0.5,0.1,0.4" in err and "0.9,0.05,0.05" in err
+    assert run_cli("eval", "--data", str(data), "--model", str(model), *TRAIN_FAST,
+                   "--set", "data.split=0.9,0.05,0.05") == 0
+    # another dataset is not the one the model was trained on: any split scores it
+    other = tmp_path / "other.dpmd"
+    assert run_cli("gen-data", "--seed", "5", "--out", str(other), *FAST_GEN) == 0
+    assert run_cli("eval", "--data", str(other), "--model", str(model), *TRAIN_FAST,
+                   "--set", "data.split=0.5,0.1,0.4") == 0
     capsys.readouterr()
 
 
@@ -536,6 +575,7 @@ def test_cli_experiment_camera_sweep_smoke(tmp_path, capsys):
     assert (out / "folds.csv").read_bytes() == (out2 / "folds.csv").read_bytes()
     assert (out / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
     assert (out / "anova.csv").read_bytes() == (out2 / "anova.csv").read_bytes()
+    _assert_csvs_hold_no_numpy_reprs(tmp_path)
     capsys.readouterr()
 
 

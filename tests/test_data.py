@@ -8,14 +8,13 @@ import pytest
 from crashcast.data import (
     HEADER_SIZE,
     DatasetFormatError,
-    Frame,
-    SequenceSample,
     assemble_dataset,
     deserialize_dataset,
+    frame_dtype,
     kfold_plan,
     quantize_image,
     read_meta,
-    sample_byte_size,
+    sample_dtype,
     serialize_dataset,
     split_samples,
     truncate_episode,
@@ -27,20 +26,28 @@ from crashcast.cli import main as cli_main
 from crashcast.sim import ScenarioSpec, WorldConfig, default_cameras, run_scenario
 
 
-def fake_frame(rng, cams=3, rows=4, cols=4):
-    images = tuple((rng.integers(0, 256, (rows, cols, 1))).astype(np.uint8) for _ in range(cams))
-    state = (rng.standard_normal(9)).astype(np.float32).astype(np.float64)
-    return Frame(images=images, state=state, action=float(rng.integers(0, 2)))
+def fill_frame(frame, rng):
+    """Random storage bytes for one frame record."""
+    for c in range(len(frame["images"])):
+        frame["images"][c] = rng.integers(0, 256, frame["images"].shape[1:] + (1,))[:, :, 0]
+    frame["state"] = rng.standard_normal(9)
+    frame["action"] = rng.integers(0, 2)
+
+
+def fake_frames(rng, n, cams=3, rows=4, cols=4):
+    frames = np.recarray(n, frame_dtype(cams, rows, cols))
+    for frame in frames:
+        fill_frame(frame, rng)
+    return frames
 
 
 def fake_samples(rng, n, seq_len=5, cams=3, rows=4, cols=4):
-    cameras = ("left_mirror", "dashcam", "right_mirror")[:cams]
-    out = []
-    for i in range(n):
-        frames = [fake_frame(rng, cams, rows, cols) for _ in range(seq_len)]
-        out.append(SequenceSample(frames=frames, label=int(rng.integers(0, 2)),
-                                  episode_id=i // 3, window_start=i % 3, cameras=cameras))
-    return out
+    samples = np.recarray(n, sample_dtype(seq_len, cams, rows, cols))
+    for s in samples:
+        for frame in s["frames"]:
+            fill_frame(frame, rng)
+        s.label = rng.integers(0, 2)
+    return samples
 
 
 def test_truncate_keeps_five_second_window():
@@ -65,7 +72,7 @@ def test_truncate_never_empty_and_builds_state_vector():
     assert len(frames) >= 1
     f = frames[0]
     assert f.state.shape == (9,)
-    assert tuple(f.state[:3]) == (0.5, 0.0, 1.2)   # dashcam mount in vehicle frame
+    assert tuple(f.state[:3]) == tuple(np.float32([0.5, 0.0, 1.2]))  # dashcam mount
     assert f.state[5] == 0.0                        # vehicle z
     assert f.images[0].dtype == np.uint8
     assert len(f.images) == 3
@@ -76,61 +83,64 @@ def test_gen_episode_equals_truncated_full_run(horizon):
     cams = default_cameras(rows=6, cols=6)
     world = WorldConfig()
     for sid, delay in ((1, 0.1), (2, 0.45), (3, 0.3), (4, 0.2)):
-        got_sid, label, frames = _gen_episode((sid, delay, 0.05, 12.0, cams, world, horizon))
+        got_sid, label, windows = _gen_episode((sid, delay, 0.05, 12.0, cams, world, horizon,
+                                                5, 3))
         full = run_scenario(ScenarioSpec(sid, delay), cams, world)
-        want = truncate_episode(full, horizon)
+        want = windowize(truncate_episode(full, horizon), 5, 3, label=full.label)
         assert (got_sid, label) == (sid, full.label)
-        assert len(frames) == len(want) > 0
-        for g, w in zip(frames, want):
-            assert g.state.tobytes() == w.state.tobytes() and g.action == w.action
-            assert [i.tobytes() for i in g.images] == [i.tobytes() for i in w.images]
+        assert len(windows) == len(want) > 0
+        assert windows.tobytes() == want.tobytes()
 
 
 def test_windowize_counts():
     rng = np.random.default_rng(0)
-    frames10 = [fake_frame(rng) for _ in range(10)]
+    frames10 = fake_frames(rng, 10)
     assert len(windowize(frames10, seq_len=5, stride=1)) == 6
     assert len(windowize(frames10[:4], seq_len=5, stride=1)) == 0
-    frames101 = [fake_frame(rng) for _ in range(101)]
+    frames101 = fake_frames(rng, 101)
     assert len(windowize(frames101, seq_len=5, stride=1)) == 97
     assert len(windowize(frames101, seq_len=5, stride=10)) == 10
 
 
 def test_windowize_consecutive_and_label_inheritance():
     rng = np.random.default_rng(1)
-    frames = [fake_frame(rng) for _ in range(8)]
-    samples = windowize(frames, seq_len=5, stride=1, label=1, episode_id=7)
+    frames = fake_frames(rng, 8)
+    samples = windowize(frames, seq_len=5, stride=1, label=1)
     for i, s in enumerate(samples):
-        assert s.window_start == i
-        assert s.label == 1 and s.episode_id == 7
+        assert s.label == 1
         for t in range(5):
-            assert s.frames[t] is frames[i + t]
+            assert s.frames[t].tobytes() == frames[i + t].tobytes()
 
 
 def test_assemble_dataset_deterministic_partition():
     rng = np.random.default_rng(2)
     samples = fake_samples(rng, 50)
-    a = assemble_dataset(samples, rng_seed=9)
-    b = assemble_dataset(samples, rng_seed=9)
-    c = assemble_dataset(samples, rng_seed=10)
-    assert [id(s) for s in a] == [id(s) for s in b]
-    assert [id(s) for s in a] != [id(s) for s in c]
+    parts = [samples[:20], samples[20:21], samples[21:]]  # windows of three episodes
+    a, part_a, index_a = assemble_dataset(parts, rng_seed=9)
+    b, part_b, index_b = assemble_dataset(parts, rng_seed=9)
+    c = assemble_dataset(parts, rng_seed=10)[0]
+    assert a.tobytes() == b.tobytes()
+    assert (part_a == part_b).all() and (index_a == index_b).all()
+    assert a.tobytes() != c.tobytes()
     train, validate, test = split_samples(a, (0.8, 0.1, 0.1))
     assert len(train) + len(validate) + len(test) == 50
     assert len(train) == 40 and len(validate) == 5
     # the parts are contiguous runs of the stored order
-    assert [id(s) for s in train + validate + test] == [id(s) for s in a]
-    # shuffling is a permutation: same multiset of objects
-    assert sorted(map(id, a)) == sorted(map(id, samples))
+    assert np.concatenate([train, validate, test]).tobytes() == a.tobytes()
+    # shuffling is a permutation, and each record names the part it came from
+    for record, part, index in zip(a, part_a, index_a):
+        assert record.tobytes() == parts[part][index].tobytes()
+    assert sorted(zip(part_a.tolist(), index_a.tolist())) == \
+        [(p, i) for p, part in enumerate(parts) for i in range(len(part))]
 
 
 def test_assemble_dataset_split_class_balance():
     rng = np.random.default_rng(3)
     samples = fake_samples(rng, 1200)
-    parts = split_samples(assemble_dataset(samples, rng_seed=11), (0.8, 0.1, 0.1))
-    global_rate = np.mean([s.label for s in samples])
+    parts = split_samples(assemble_dataset([samples], rng_seed=11)[0], (0.8, 0.1, 0.1))
+    global_rate = np.mean(samples.label)
     for part in parts:
-        rate = np.mean([s.label for s in part])
+        rate = np.mean(part.label)
         assert abs(rate - global_rate) <= 0.10
 
 
@@ -171,14 +181,11 @@ def test_serialize_round_trip_bit_exact(tmp_path):
     assert len(loaded.samples) == 100
     assert loaded.seq_len == 5 and loaded.rows == 4 and loaded.cols == 4
     assert loaded.cameras == ("left_mirror", "dashcam", "right_mirror")
-    for orig, got in zip(samples, loaded.samples):
-        assert got.label == orig.label
-        for fo, fg in zip(orig.frames, got.frames):
-            for io_, ig in zip(fo.images, fg.images):
-                assert (io_ == ig).all()
-            # states were float32-representable, so the round trip is bit-exact
-            assert (fo.state == fg.state).all()
-            assert fo.action == fg.action
+    assert (loaded.samples.label == samples.label).all()
+    fo, fg = samples.frames, loaded.samples.frames
+    assert (fo.images == fg.images).all()
+    assert fo.state.tobytes() == fg.state.tobytes()
+    assert fo.action.tobytes() == fg.action.tobytes()
     # writing the loaded samples again reproduces the file byte for byte
     path2 = tmp_path / "d2.dpmd"
     serialize_dataset(loaded.samples, path2)
@@ -191,7 +198,7 @@ def test_serialized_file_size_closed_form(tmp_path):
     samples = fake_samples(rng, n, seq_len=seq_len, cams=cams, rows=rows, cols=cols)
     path = tmp_path / "sized.dpmd"
     serialize_dataset(samples, path)
-    per_sample = sample_byte_size(seq_len, cams, rows, cols)
+    per_sample = sample_dtype(seq_len, cams, rows, cols).itemsize
     assert per_sample == 1 + seq_len * (cams * rows * cols + 9 * 4 + 4)
     assert path.stat().st_size == HEADER_SIZE + n * per_sample
 
@@ -228,7 +235,7 @@ def test_deserialize_rejects_non_finite_values(tmp_path, field, value):
     path = tmp_path / "c.dpmd"
     serialize_dataset(fake_samples(rng, 3), path)  # 5 frames of 3 4x4 images each
     frame_bytes = 3 * 16 + 9 * 4 + 4
-    frame = HEADER_SIZE + 2 * sample_byte_size(5, 3, 4, 4) + 1 + 3 * frame_bytes
+    frame = HEADER_SIZE + 2 * sample_dtype(5, 3, 4, 4).itemsize + 1 + 3 * frame_bytes
     at = frame + 3 * 16 + 4 * field  # state values 0-8, then the action
     blob = bytearray(path.read_bytes())
     blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
@@ -268,7 +275,7 @@ def test_dataset_byte_fuzz_raises_typed_error_or_reloads_exactly(tmp_path):
     path = tmp_path / "d.dpmd"
     serialize_dataset(fake_samples(rng, 2, seq_len=2, cams=2, rows=3, cols=3), path)
     clean = path.read_bytes()
-    header_and_first_sample = HEADER_SIZE + sample_byte_size(2, 2, 3, 3)
+    header_and_first_sample = HEADER_SIZE + sample_dtype(2, 2, 3, 3).itemsize
     cases = [clean[:n] for n in range(len(clean))]
     for _ in range(400):
         at = int(rng.integers(0, header_and_first_sample))
@@ -297,13 +304,16 @@ def test_quantize_image_stable_fixed_points():
 
 def test_meta_sidecar_round_trip(tmp_path):
     rng = np.random.default_rng(13)
-    samples = fake_samples(rng, 9)
-    scenarios = {eid: (eid % 4) + 1 for eid in {s.episode_id for s in samples}}
+    episode_ids = rng.integers(0, 3, 9)
+    scenarios = episode_ids % 4 + 1
     path = tmp_path / "d.meta.csv"
-    write_meta(samples, scenarios, path)
-    episode_ids, scen = read_meta(path)
-    assert (episode_ids == np.array([s.episode_id for s in samples])).all()
-    assert (scen == np.array([scenarios[s.episode_id] for s in samples])).all()
+    write_meta(episode_ids, scenarios, np.arange(9) % 3, path)
+    got_ids, got_scen = read_meta(path)
+    assert (got_ids == episode_ids).all()
+    assert (got_scen == scenarios).all()
+    assert (read_meta(path, 9)[0] == episode_ids).all()
+    with pytest.raises(ValueError, match="covers 9 samples, dataset has 10"):
+        read_meta(path, 10)
 
 
 @pytest.mark.parametrize("text, line", [
@@ -322,10 +332,3 @@ def test_bad_meta_sidecar_names_file_and_line(tmp_path, capsys, text, line):
     assert cli_main(["inspect", "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(meta) in err and "Traceback" not in err
-
-
-def test_frame_validates_state_length():
-    rng = np.random.default_rng(14)
-    with pytest.raises(ValueError):
-        Frame(images=(np.zeros((2, 2, 1), dtype=np.uint8),),
-              state=rng.standard_normal(8), action=0.0)

@@ -1,36 +1,22 @@
 """Network step/gradient tests against transcription and finite-difference oracles."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
 import oracles
+from crashcast.data import quantize_image, sample_dtype
 from crashcast.network import (
     NetworkConfig,
     dpm_forward,
     dpm_forward_batch,
     dpm_gradients,
     init_params,
+    inputs_from_samples,
     param_shapes,
     sigmoid,
     zero_grads,
 )
 from oracles import convlstm_sequence, convlstm_step, lstm_step
-
-
-@dataclass
-class FakeFrame:
-    images: tuple
-    state: np.ndarray
-    action: float
-
-
-@dataclass
-class FakeSample:
-    cameras: tuple
-    frames: list
-    label: int = 0
 
 
 def make_conv_layer(rng, c_in=1, p=2, k=3, q=4, r=4, stride=1, scale=0.3):
@@ -223,18 +209,18 @@ def tiny_config(input_mode="images_state_action", cameras=("dashcam",), rows=4, 
     )
 
 
-def make_samples(rng, config, n, all_cams=("left_mirror", "dashcam", "right_mirror")):
-    samples = []
-    for _ in range(n):
-        frames = []
-        for _t in range(config.seq_len):
-            images = tuple(rng.uniform(0, 1, (config.image_rows, config.image_cols, 1))
-                           for _ in all_cams)
-            frames.append(FakeFrame(images=images,
-                                    state=rng.standard_normal(9),
-                                    action=float(rng.integers(0, 2))))
-        samples.append(FakeSample(cameras=tuple(all_cams), frames=frames,
-                                  label=int(rng.integers(0, 2))))
+def make_samples(rng, config, n, n_cams=3):
+    """n DPMD sample records holding the first n_cams cameras of CAMERA_ORDER."""
+    rows, cols = config.image_rows, config.image_cols
+    samples = np.recarray(n, sample_dtype(config.seq_len, n_cams, rows, cols))
+    frames = samples["frames"]
+    for i in range(n):
+        for t in range(config.seq_len):
+            for c in range(n_cams):
+                frames["images"][i, t, c] = quantize_image(rng.uniform(0, 1, (rows, cols)))
+            frames["state"][i, t] = rng.standard_normal(9)
+            frames["action"][i, t] = rng.integers(0, 2)
+        samples.label[i] = rng.integers(0, 2)
     return samples
 
 
@@ -288,11 +274,27 @@ def test_forward_batch_matches_single_shapes(variant):
     check_forward_batch_matches_single(tiny_config(**SHAPE_VARIANTS[variant]))
 
 
+def test_inputs_promote_stored_values_exactly():
+    """Each camera is read at its CAMERA_ORDER position in the record; images are
+    uint8 / 255 and states the float32 values, then the action, in float64."""
+    config = tiny_config(cameras=("right_mirror", "left_mirror"))
+    samples = make_samples(np.random.default_rng(21), config, 3)
+    images, states = inputs_from_samples(config, samples)
+    assert states.shape == (3, config.seq_len, 10) and states.dtype == np.float64
+    for b, s in enumerate(samples):
+        for t, frame in enumerate(s["frames"]):
+            for cam, index in (("left_mirror", 0), ("right_mirror", 2)):
+                want = [[[float(v) / 255.0] for v in row] for row in frame["images"][index]]
+                assert images[cam][b, t].tolist() == want
+            assert states[b, t].tolist() == [float(v) for v in frame["state"]] + \
+                [float(frame["action"])]
+
+
 def test_forward_missing_modality_errors():
     config = tiny_config(cameras=("left_mirror", "dashcam"))
     params = init_params(config, seed=5)
     rng = np.random.default_rng(15)
-    sample = make_samples(rng, config, 1, all_cams=("dashcam",))[0]
+    sample = make_samples(rng, config, 1, n_cams=1)[0]  # left_mirror only
     with pytest.raises(ValueError):
         dpm_forward(params, config, sample)
 

@@ -105,8 +105,7 @@ def test_train_early_stops_when_validation_cannot_improve():
     trainset = _labelled(base[:2], [1, 1])
     # validation wants the opposite answer on the same inputs: any training
     # step can only hurt, so the first check triggers patience=1
-    import copy
-    valset = _labelled([copy.deepcopy(s) for s in trainset], [0, 0])
+    valset = _labelled(trainset.copy(), [0, 0])
     tc = TrainConfig(batch_size=2, learning_rate=0.05, max_iterations=200,
                      patience=1, validation_interval=5,
                      dropout_in_training=False)
@@ -278,35 +277,34 @@ def test_fold_assignment_disjoint_and_episode_coherent():
     config = tiny_config()
     rng = np.random.default_rng(17)
     samples = make_samples(rng, config, 24)
-    for i, s in enumerate(samples):
-        s.episode_id = i // 4
-    assign = fold_assignment(samples, 3, fold_unit="episodes", rng_seed=5)
+    episode_ids = np.arange(len(samples)) // 4
+    assign = fold_assignment(episode_ids, 3, fold_unit="episodes", rng_seed=5)
     assert assign.shape == (24,)
     by_episode = {}
-    for i, s in enumerate(samples):
-        by_episode.setdefault(s.episode_id, set()).add(int(assign[i]))
+    for i, eid in enumerate(episode_ids):
+        by_episode.setdefault(eid, set()).add(int(assign[i]))
     for folds in by_episode.values():
         assert len(folds) == 1  # windows of one episode never straddle folds
-    assign_s = fold_assignment(samples, 4, fold_unit="samples", rng_seed=5)
+    assign_s = fold_assignment(episode_ids, 4, fold_unit="samples", rng_seed=5)
     sizes = np.bincount(assign_s)
     assert sizes.sum() == 24 and max(sizes) - min(sizes) <= 1
-    samples[0].episode_id = -1
+    episode_ids[0] = -1
     with pytest.raises(ValueError):
-        fold_assignment(samples, 3, fold_unit="episodes")
+        fold_assignment(episode_ids, 3, fold_unit="episodes")
     with pytest.raises(ValueError):
-        fold_assignment(samples, 3, fold_unit="windows")
+        fold_assignment(episode_ids, 3, fold_unit="windows")
 
 
 def test_run_kfold_smoke_and_aggregation():
     config = tiny_config()
     rng = np.random.default_rng(18)
     samples = make_samples(rng, config, 18)
-    for i, s in enumerate(samples):
-        s.episode_id = i // 3
-        s.label = (i // 3) % 2
+    episode_ids = np.arange(len(samples)) // 3
+    samples.label = episode_ids % 2
     tc = TrainConfig(batch_size=4, max_iterations=8, validation_interval=4,
                      patience=2, dropout_in_training=False)
-    result = run_kfold(samples, 3, config, tc, fold_unit="episodes", rng_seed=6)
+    result = run_kfold(samples, 3, config, tc, episode_ids=episode_ids, fold_unit="episodes",
+                       rng_seed=6)
     assert isinstance(result, KFoldResult)
     assert len(result.folds) == 3
     assert all(isinstance(f, FoldResult) for f in result.folds)
@@ -322,13 +320,14 @@ def test_run_kfold_parallel_matches_sequential():
     config = tiny_config()
     rng = np.random.default_rng(19)
     samples = make_samples(rng, config, 12)
-    for i, s in enumerate(samples):
-        s.episode_id = i // 2
-        s.label = i % 2
+    episode_ids = np.arange(len(samples)) // 2
+    samples.label = np.arange(len(samples)) % 2
     tc = TrainConfig(batch_size=4, max_iterations=6, validation_interval=3,
                      patience=2, dropout_in_training=False)
-    seq = run_kfold(samples, 2, config, tc, fold_unit="episodes", rng_seed=7, jobs=1)
-    par = run_kfold(samples, 2, config, tc, fold_unit="episodes", rng_seed=7, jobs=2)
+    seq = run_kfold(samples, 2, config, tc, episode_ids=episode_ids, fold_unit="episodes",
+                    rng_seed=7, jobs=1)
+    par = run_kfold(samples, 2, config, tc, episode_ids=episode_ids, fold_unit="episodes",
+                    rng_seed=7, jobs=2)
     assert [f.accuracy for f in seq.folds] == [f.accuracy for f in par.folds]
     assert [f.mcc for f in seq.folds] == [f.mcc for f in par.folds]
     assert [f.counts for f in seq.folds] == [f.counts for f in par.folds]
@@ -361,9 +360,8 @@ def test_run_kfold_fits_folds_on_one_blas_thread(tmp_path, monkeypatch):
     config = tiny_config()
     rng = np.random.default_rng(23)
     samples = make_samples(rng, config, 8)
-    for i, s in enumerate(samples):
-        s.episode_id = i // 2
-        s.label = i % 2
+    episode_ids = np.arange(len(samples)) // 2
+    samples.label = np.arange(len(samples)) % 2
     tc = TrainConfig(batch_size=4, max_iterations=2, validation_interval=2,
                      patience=1, dropout_in_training=False)
     caller = get()
@@ -371,11 +369,11 @@ def test_run_kfold_fits_folds_on_one_blas_thread(tmp_path, monkeypatch):
     try:
         monkeypatch.setattr(training, "train", logging_train)
         for jobs in (1, 2):
-            run_kfold(samples, 2, config, tc, rng_seed=8, jobs=jobs)
+            run_kfold(samples, 2, config, tc, episode_ids=episode_ids, rng_seed=8, jobs=jobs)
             assert get() == 2
         monkeypatch.setattr(training, "train", failing_train)
         with pytest.raises(RuntimeError):
-            run_kfold(samples, 2, config, tc, rng_seed=8)
+            run_kfold(samples, 2, config, tc, episode_ids=episode_ids, rng_seed=8)
         assert get() == 2
     finally:
         set_(caller)
