@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data/model error.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -28,7 +29,14 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError
 from .dropout import mix64, run_sfp
 from .network import init_params
-from .report import file_sha256, read_csv, svg_bar_chart, svg_line_chart, write_csv
+from .report import (
+    file_sha256,
+    read_csv,
+    read_csv_lines,
+    svg_bar_chart,
+    svg_line_chart,
+    write_csv,
+)
 from .sim import ScenarioSpec, bisect_delay_threshold, run_scenario
 from .stats import (
     accuracy_of,
@@ -295,7 +303,7 @@ def cmd_eval(args, cfg):
     _trainset, _valset, testset = datamod.split_samples(dataset.samples, cfg.data.split)
     if not len(testset):
         raise ValueError("test split is empty; adjust data.split")
-    _preds, counts = evaluate(params, net_config, testset, threshold=cfg.eval.threshold)
+    counts = evaluate(params, net_config, testset, threshold=cfg.eval.threshold)
     acc = accuracy_of(counts)
     mcc = mcc_of(counts)
     rows = [[counts.tp, counts.tn, counts.fp, counts.fn, acc, mcc]]
@@ -332,23 +340,27 @@ def cmd_experiment(args, cfg):
 
     fold_rows = []
     summary_rows = []
-    results = {}
+    scores = {"accuracy": {}, "mcc": {}}  # metric -> group -> per-fold values
+    mcc_means = []
     for group, net_config in groups:
-        result = run_kfold(dataset.samples, cfg.eval.fold_k, net_config, cfg.train, cfg.dropout,
-                           episode_ids=episode_ids, fold_unit=fold_unit,
-                           val_fraction=cfg.eval.val_fraction,
-                           rng_seed=fold_seed, jobs=args.jobs)
-        results[group] = result
-        for f in result.folds:
-            fold_rows.append([group, f.fold, f.accuracy, f.mcc])
-        summary_rows.append([group, "accuracy", result.accuracy_mean, result.accuracy_std])
-        summary_rows.append([group, "mcc", result.mcc_mean, result.mcc_std])
-        print(f"{group}: accuracy {result.accuracy_mean:.4f} +/- {result.accuracy_std:.4f}  "
-              f"mcc {result.mcc_mean:.4f} +/- {result.mcc_std:.4f}")
+        folds = run_kfold(dataset.samples, cfg.eval.fold_k, net_config, cfg.train, cfg.dropout,
+                          episode_ids=episode_ids, fold_unit=fold_unit,
+                          val_fraction=cfg.eval.val_fraction,
+                          rng_seed=fold_seed, jobs=args.jobs)
+        accs = scores["accuracy"][group] = [accuracy_of(c) for c in folds]
+        mccs = scores["mcc"][group] = [mcc_of(c) for c in folds]
+        fold_rows += [[group, fold, acc, mcc] for fold, (acc, mcc) in enumerate(zip(accs, mccs))]
+        acc_mean, acc_std = mean_std(accs)
+        mcc_mean, mcc_std = mean_std(mccs)
+        mcc_means.append(mcc_mean)
+        summary_rows.append([group, "accuracy", acc_mean, acc_std])
+        summary_rows.append([group, "mcc", mcc_mean, mcc_std])
+        print(f"{group}: accuracy {acc_mean:.4f} +/- {acc_std:.4f}  "
+              f"mcc {mcc_mean:.4f} +/- {mcc_std:.4f}")
 
     anova_rows = []
-    for metric, pick in (("accuracy", lambda r: r.accuracies), ("mcc", lambda r: r.mccs)):
-        res = anova_oneway({g: pick(r) for g, r in results.items()})
+    for metric, by_group in scores.items():
+        res = anova_oneway(by_group)
         anova_rows.append([metric, res.f_value, res.p_value,
                            res.df_between, res.df_within, res.degenerate])
         print(f"ANOVA {metric}: F={res.f_value:.4f} p={res.p_value:.6f} "
@@ -364,7 +376,7 @@ def cmd_experiment(args, cfg):
               ["metric", "f_value", "p_value", "df_between", "df_within", "degenerate"],
               anova_rows, prov)
     svg_bar_chart(os.path.join(args.out, "mcc_means.svg"),
-                  list(results), [results[g].mcc_mean for g in results],
+                  [group for group, _net_config in groups], mcc_means,
                   title=f"mean MCC by {args.sweep}")
     return 0
 
@@ -377,49 +389,59 @@ def cmd_predict(args, cfg):
                          f"[0, {len(dataset.samples)})")
     sample = dataset.samples[args.index]
     n = args.sfp if args.sfp is not None else cfg.eval.sfp_passes
-    dist = run_sfp(params, net_config, sample, cfg.dropout, n, rng_seed=args.seed)
+    p = run_sfp(params, net_config, sample, cfg.dropout, n, rng_seed=args.seed)
 
     os.makedirs(args.out, exist_ok=True)
     prov = _provenance(args, cfg, {"model": os.path.basename(args.model),
                                    "sample_index": args.index, "passes": n})
     write_csv(os.path.join(args.out, "distribution.csv"),
               ["pass_index", "p_collision"],
-              [[i, p] for i, p in enumerate(dist.samples)], prov)
-    counts = histogram(dist, cfg.eval.bins)
+              list(enumerate(p)), prov)
+    counts = histogram(p, cfg.eval.bins)
     hist_rows = [[i / cfg.eval.bins, (i + 1) / cfg.eval.bins, int(c)]
                  for i, c in enumerate(counts)]
     write_csv(os.path.join(args.out, "histogram.csv"),
               ["bin_lo", "bin_hi", "count"], hist_rows, prov)
-    if dist.n >= 2:
-        fit = fit_gaussian(dist)
-    else:
-        from .stats import GaussianFit
-        fit = GaussianFit(float(dist.samples[0]), 0.0)
-    thresholds = cfgmod.uncertainty_thresholds(cfg)
-    if dist.n >= thresholds.min_samples:
-        klass = classify_uncertainty(dist, thresholds).value
-    else:
-        klass = "insufficient_samples"
+    fit = fit_gaussian(p)
+    klass = classify_uncertainty(p, bins=cfg.eval.bins, sigma_lo=cfg.eval.sigma_lo,
+                                 peak_mass_frac=cfg.eval.peak_mass_frac,
+                                 valley_ratio=cfg.eval.valley_ratio).value
     write_csv(os.path.join(args.out, "stats.csv"),
               ["mean", "variance", "std", "class"],
               [[fit.mean, fit.variance, fit.std, klass]], prov)
     svg_bar_chart(os.path.join(args.out, "histogram.svg"),
                   [f"{i / cfg.eval.bins:.2f}" for i in range(cfg.eval.bins)],
                   [int(c) for c in counts],
-                  title=f"{dist.n} stochastic passes, sample {args.index} "
+                  title=f"{n} stochastic passes, sample {args.index} "
                         f"(label {sample.label})")
     print(f"sample {args.index} (label {sample.label}): mean p(collision) {fit.mean:.4f}, "
           f"std {fit.std:.4f}, class {klass}")
     return 0
 
 
-def cmd_anova(args, cfg):
-    _prov, header, rows = read_csv(args.folds)
+def _read_groups(path):
+    """group -> values of a group,value CSV; a bad line fails naming its file and line."""
+    _prov, lines = read_csv_lines(path)
+    lineno, header = lines[0] if lines else (1, [])
     if header[:2] != ["group", "value"]:
-        raise ValueError(f"expected CSV columns group,value in {args.folds}, got {header}")
+        raise ValueError(f"expected CSV columns group,value at {path}:{lineno}, got {header}")
     groups = {}
-    for row in rows:
-        groups.setdefault(row[0], []).append(float(row[1]))
+    for lineno, row in lines[1:]:
+        if not row:
+            continue
+        try:
+            value = float(row[1])
+        except (IndexError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"bad row {row!r} at {path}:{lineno}; "
+                             f"expected a group and a finite value")
+        groups.setdefault(row[0], []).append(value)
+    return groups
+
+
+def cmd_anova(args, cfg):
+    groups = _read_groups(args.folds)
     out_rows = []
     for name, values in groups.items():
         mean, std = mean_std(values)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, fields, replace
 from .dropout import DropoutSpec
 from .network import NetworkConfig
 from .sim import CAMERA_ORDER, ScenarioSpec, WorldConfig, default_cameras
-from .stats import UncertaintyThresholds
 from .training import TrainConfig
 
 
@@ -288,9 +287,3 @@ def network_config(cfg, input_mode=None, cameras=None):
         merge_units=cfg.net.merge_units,
     )
 
-
-def uncertainty_thresholds(cfg):
-    return UncertaintyThresholds(
-        bins=cfg.eval.bins, sigma_lo=cfg.eval.sigma_lo,
-        peak_mass_frac=cfg.eval.peak_mass_frac, valley_ratio=cfg.eval.valley_ratio,
-    )

@@ -50,22 +50,6 @@ class MaskSet:
     seed: int
 
 
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    """Collision probabilities from N stochastic forward passes."""
-
-    samples: tuple
-
-    def __post_init__(self):
-        for s in self.samples:
-            if not (0.0 <= s <= 1.0):
-                raise ValueError(f"collision probability {s} outside [0, 1]")
-
-    @property
-    def n(self):
-        return len(self.samples)
-
-
 def _maskable_names(params, spec):
     fields = set()
     for target in spec.targets:
@@ -95,12 +79,16 @@ def stochastic_forward(params, config, sample, spec, rng_seed, step_hook=None):
 
 
 def run_sfp(params, config, sample, spec, n, rng_seed):
-    """N stochastic forward passes with seeds split from rng_seed."""
+    """P(collision) of N stochastic forward passes with seeds split from rng_seed.
+
+    Returns a float64 array, one entry per pass; a value outside [0, 1] or
+    NaN is refused.
+    """
     if n < 1:
         raise ValueError("need at least one stochastic pass")
-    values = tuple(
-        stochastic_forward(params, config, sample, spec, mix64(rng_seed, i))
-        for i in range(n)
-    )
-    return PredictiveDistribution(samples=values)
-
+    values = np.array([stochastic_forward(params, config, sample, spec, mix64(rng_seed, i))
+                       for i in range(n)])
+    outside = values[~((values >= 0.0) & (values <= 1.0))]
+    if outside.size:
+        raise ValueError(f"collision probability {outside[0]} outside [0, 1]")
+    return values

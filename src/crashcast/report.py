@@ -37,23 +37,28 @@ def write_csv(path, header, rows, provenance=None):
 
 def read_csv(path):
     """Read a CSV written by write_csv; returns (provenance, header, rows)."""
+    provenance, lines = read_csv_lines(path)
+    header = lines[0][1] if lines else None
+    return provenance, header, [fields for _lineno, fields in lines[1:] if fields]
+
+
+def read_csv_lines(path):
+    """(provenance, [(line number, fields)]) of a CSV written by write_csv.
+
+    Every line but the provenance comments is listed, a blank one with no fields.
+    """
     provenance = {}
-    rows = []
-    header = None
+    lines = []
     with open(path, newline="") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 body = line[1:].strip()
                 if "=" in body:
                     k, v = body.split("=", 1)
                     provenance[k.strip()] = v.strip()
                 continue
-            parsed = next(csv.reader([line]))
-            if header is None:
-                header = parsed
-            elif parsed:
-                rows.append(parsed)
-    return provenance, header, rows
+            lines.append((lineno, next(csv.reader([line]))))
+    return provenance, lines
 
 
 def file_sha256(path):

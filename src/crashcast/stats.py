@@ -170,9 +170,8 @@ def anova_oneway(groups):
 
 # --- predictive-distribution analysis --------------------------------------
 
-def _samples_of(d):
-    samples = getattr(d, "samples", d)
-    return np.asarray(list(samples), dtype=np.float64)
+SMOOTH_WINDOW = 3  # bins in the moving average the peak search runs on
+MIN_SAMPLES = 50  # passes below which classify_uncertainty gives no verdict
 
 
 @dataclass(frozen=True)
@@ -185,19 +184,22 @@ class GaussianFit:
         return math.sqrt(self.variance)
 
 
-def fit_gaussian(d):
-    """Maximum-likelihood normal fit (mean, population variance)."""
-    v = _samples_of(d)
-    if v.size < 2:
-        raise ValueError("gaussian fit needs at least two samples")
+def fit_gaussian(samples):
+    """Maximum-likelihood normal fit (mean, population variance).
+
+    A single sample fits with variance 0.
+    """
+    v = np.asarray(samples, dtype=np.float64)
+    if v.size < 1:
+        raise ValueError("gaussian fit needs at least one sample")
     return GaussianFit(float(v.mean()), float(v.var(ddof=0)))
 
 
-def histogram(d, bins):
+def histogram(samples, bins):
     """Counts over equal-width bins of [0, 1]; the final bin is right-closed."""
     if bins < 1:
         raise ValueError("bins must be positive")
-    v = _samples_of(d)
+    v = np.asarray(samples, dtype=np.float64)
     idx = np.clip((v * bins).astype(np.int64), 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)
     return counts
@@ -207,16 +209,7 @@ class UncertaintyClass(enum.Enum):
     CONFIDENT_UNIMODAL = "confident_unimodal"
     DIFFUSE_UNIMODAL = "diffuse_unimodal"
     CONFLICTING_BIMODAL = "conflicting_bimodal"
-
-
-@dataclass(frozen=True)
-class UncertaintyThresholds:
-    bins: int = 20
-    smooth_window: int = 3
-    peak_mass_frac: float = 0.10
-    valley_ratio: float = 0.5
-    sigma_lo: float = 0.10
-    min_samples: int = 50
+    INSUFFICIENT_SAMPLES = "insufficient_samples"
 
 
 def _smooth(counts, window):
@@ -248,27 +241,29 @@ def _local_maxima(s):
     return maxima
 
 
-def classify_uncertainty(d, cfg=UncertaintyThresholds()):
+def classify_uncertainty(samples, *, bins=20, sigma_lo=0.10, peak_mass_frac=0.10,
+                         valley_ratio=0.5):
     """Sort a predictive distribution into the three uncertainty regimes.
 
     Bimodality is decided first from a smoothed histogram: two peaks that
     each hold at least peak_mass_frac of the samples, separated by a valley
     no higher than valley_ratio of the smaller peak. Otherwise the verdict
     is confident vs diffuse by the sigma_lo threshold on the sample std.
+    Fewer than MIN_SAMPLES samples are INSUFFICIENT_SAMPLES.
     """
-    v = _samples_of(d)
-    if v.size < cfg.min_samples:
-        raise ValueError(f"classification refused below {cfg.min_samples} samples, got {v.size}")
-    counts = histogram(v, cfg.bins)
-    s = _smooth(counts.astype(np.float64), cfg.smooth_window)
-    peaks = [i for i in _local_maxima(s) if s[i] >= cfg.peak_mass_frac * v.size]
+    v = np.asarray(samples, dtype=np.float64)
+    if v.size < MIN_SAMPLES:
+        return UncertaintyClass.INSUFFICIENT_SAMPLES
+    counts = histogram(v, bins)
+    s = _smooth(counts.astype(np.float64), SMOOTH_WINDOW)
+    peaks = [i for i in _local_maxima(s) if s[i] >= peak_mass_frac * v.size]
     for a in range(len(peaks)):
         for b in range(a + 1, len(peaks)):
             i, j = peaks[a], peaks[b]
             valley = s[i + 1 : j].min() if j - i > 1 else min(s[i], s[j])
-            if valley <= cfg.valley_ratio * min(s[i], s[j]):
+            if valley <= valley_ratio * min(s[i], s[j]):
                 return UncertaintyClass.CONFLICTING_BIMODAL
     std = float(v.std(ddof=0))
-    if std <= cfg.sigma_lo:
+    if std <= sigma_lo:
         return UncertaintyClass.CONFIDENT_UNIMODAL
     return UncertaintyClass.DIFFUSE_UNIMODAL

@@ -27,7 +27,7 @@ import numpy as np
 from .data import kfold_plan
 from .dropout import mix64, sample_masks
 from .network import dpm_forward_batch, dpm_gradients, init_params, sample_losses
-from .stats import ConfusionCounts, accuracy_of, mcc_of, mean_std
+from .stats import ConfusionCounts
 
 
 @dataclass(frozen=True)
@@ -183,40 +183,15 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
 
 
 def evaluate(params, net_config, testset, threshold=0.5, chunk=64):
-    """Deterministic forward (no dropout); collision iff P(collision) >= threshold."""
+    """ConfusionCounts of a deterministic forward (no dropout) over testset;
+    collision iff P(collision) >= threshold."""
     preds = np.zeros(len(testset), dtype=bool)
     for lo in range(0, len(testset), chunk):
         probs = dpm_forward_batch(params, net_config, testset[lo : lo + chunk])
         preds[lo : lo + chunk] = probs[:, 0] >= threshold
     hit = testset.label == 1
-    counts = ConfusionCounts(tp=int((hit & preds).sum()), tn=int((~hit & ~preds).sum()),
-                             fp=int((~hit & preds).sum()), fn=int((hit & ~preds).sum()))
-    return preds.astype(int).tolist(), counts
-
-
-@dataclass
-class FoldResult:
-    fold: int
-    accuracy: float
-    mcc: float
-    counts: ConfusionCounts
-
-
-@dataclass
-class KFoldResult:
-    folds: list
-    accuracy_mean: float
-    accuracy_std: float
-    mcc_mean: float
-    mcc_std: float
-
-    @property
-    def accuracies(self):
-        return [f.accuracy for f in self.folds]
-
-    @property
-    def mccs(self):
-        return [f.mcc for f in self.folds]
+    return ConfusionCounts(tp=int((hit & preds).sum()), tn=int((~hit & ~preds).sum()),
+                           fp=int((~hit & preds).sum()), fn=int((hit & ~preds).sum()))
 
 
 def fold_assignment(episode_ids, k, fold_unit="episodes", rng_seed=0):
@@ -248,8 +223,7 @@ def _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
     params = init_params(net_config, seed=mix64(rng_seed, fold))
     trained, _report = train(params, net_config, config, samples[train_idx], samples[val_idx],
                              dropout_spec, rng_seed=mix64(rng_seed, 100 + fold))
-    _preds, counts = evaluate(trained, net_config, samples[test_idx])
-    return FoldResult(fold=fold, accuracy=accuracy_of(counts), mcc=mcc_of(counts), counts=counts)
+    return evaluate(trained, net_config, samples[test_idx])
 
 
 _FORK_FN = None  # the function fork_map's workers run, inherited through fork
@@ -330,7 +304,7 @@ def _one_blas_thread():
 
 def run_kfold(samples, k, net_config, config, dropout_spec=None, episode_ids=None,
               fold_unit="episodes", val_fraction=0.1, rng_seed=0, jobs=1):
-    """Rotate k held-out folds; per-fold accuracy/MCC plus population mean/std.
+    """Rotate k held-out folds; returns each fold's test ConfusionCounts, in fold order.
 
     episode_ids (each sample's episode, from the sidecar) is needed to fold
     at episode level; without it every episode is unknown.
@@ -346,8 +320,4 @@ def run_kfold(samples, k, net_config, config, dropout_spec=None, episode_ids=Non
                              val_fraction, rng_seed)
 
     with _one_blas_thread():
-        folds = fork_map(fit, range(k), jobs)
-    acc_mean, acc_std = mean_std([f.accuracy for f in folds])
-    mcc_mean, mcc_std = mean_std([f.mcc for f in folds])
-    return KFoldResult(folds=folds, accuracy_mean=acc_mean, accuracy_std=acc_std,
-                       mcc_mean=mcc_mean, mcc_std=mcc_std)
+        return fork_map(fit, range(k), jobs)

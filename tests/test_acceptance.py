@@ -199,7 +199,7 @@ def test_criterion_6_mc_dropout_invariants():
 
     p_det = float(dpm_forward(params, config, sample)[0])
     zero = run_sfp(params, config, sample, DropoutSpec(rate=0.0), 50, rng_seed=1)
-    assert all(s == p_det for s in zero.samples), "rate 0 must equal the deterministic pass"
+    assert all(s == p_det for s in zero), "rate 0 must equal the deterministic pass"
 
     import hashlib
     spec = DropoutSpec(rate=0.2)
@@ -346,7 +346,7 @@ def test_criterion_10_reproducibility_formats_overfit(tmp_path):
                      patience=10**6, validation_interval=10**6,
                      dropout_in_training=False)
     trained, report = train(params, config, tc, trainset, [], rng_seed=5)
-    _preds, counts = evaluate(trained, config, trainset)
+    counts = evaluate(trained, config, trainset)
     train_acc = (counts.tp + counts.tn) / counts.total
     assert report.final_iteration <= 500
     assert train_acc == 1.0, f"overfit sanity reached only {train_acc:.3f}"

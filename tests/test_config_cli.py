@@ -542,6 +542,28 @@ def test_cli_predict_zero_rate_is_degenerate(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("passes", [1, 49, 50])
+def test_cli_predict_small_pass_counts(tmp_path, capsys, predict_inputs, passes):
+    """One pass fits variance 0; below 50 passes no uncertainty class is given."""
+    data, model = predict_inputs
+    pred = tmp_path / "pred"
+    assert run_cli("predict", "--data", str(data), "--model", str(model), "--index", "0",
+                   "--sfp", str(passes), "--seed", "5", "--out", str(pred)) == 0
+    _p, _h, dist_rows = read_csv(pred / "distribution.csv")
+    assert len(dist_rows) == passes
+    _p, header, rows = read_csv(pred / "stats.csv")
+    stats = dict(zip(header, rows[0]))
+    if passes == 1:
+        assert stats == {"mean": dist_rows[0][1], "variance": "0.0", "std": "0.0",
+                         "class": "insufficient_samples"}
+    elif passes < 50:
+        assert stats["class"] == "insufficient_samples"
+    else:
+        assert stats["class"] in ("confident_unimodal", "diffuse_unimodal",
+                                  "conflicting_bimodal")
+    assert capsys.readouterr().out.rstrip().endswith(f"class {stats['class']}")
+
+
 def test_cli_predict_index_out_of_range(tmp_path, capsys):
     data, model = _gen_train_predict(tmp_path, capsys)
     rc = run_cli("predict", "--data", str(data), "--model", str(model), *TRAIN_FAST,
@@ -637,3 +659,22 @@ def test_cli_anova_two_groups(tmp_path, capsys):
     assert len(anova_rows) == 1
     assert float(anova_rows[0][5]) > 0  # F value present
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("group,value\na,1.0\na\n", 3),
+    ("group,value\na,1.0\na,2.0\nb,3.0\nb,nan\n", 5),
+    ("group,value\na,1.0\na,inf\nb,3.0\nb,4.0\n", 3),
+    ("group,value\na,1.0\na,x\n", 3),
+    ("# seed = 1\ngroup,value\na,1.0\n\na,\n", 5),
+], ids=["empty-file", "no-value-column", "nan", "inf", "not-a-number", "after-comment-and-blank"])
+def test_cli_anova_refuses_bad_input_naming_file_and_line(tmp_path, capsys, text, line):
+    folds = tmp_path / "folds.csv"
+    folds.write_text(text)
+    out = tmp_path / "anova.csv"
+    assert run_cli("anova", "--folds", str(folds), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert f"{folds}:{line}" in captured.err
+    assert captured.out == ""  # nothing, not even a group mean, is printed before it
+    assert not out.exists()

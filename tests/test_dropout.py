@@ -8,7 +8,6 @@ import pytest
 from crashcast.dropout import (
     DropoutSpec,
     MaskSet,
-    PredictiveDistribution,
     mix64,
     run_sfp,
     sample_masks,
@@ -126,11 +125,11 @@ def test_run_sfp_small_cases():
     sample = make_samples(rng, config, 1)[0]
     spec = DropoutSpec(rate=0.0)
     one = run_sfp(params, config, sample, spec, 1, rng_seed=5)
-    assert one.n == 1
-    assert one.samples[0] == stochastic_forward(params, config, sample, spec, mix64(5, 0))
+    assert len(one) == 1
+    assert one[0] == stochastic_forward(params, config, sample, spec, mix64(5, 0))
     hundred = run_sfp(params, config, sample, spec, 100, rng_seed=5)
-    assert hundred.n == 100
-    assert len(set(hundred.samples)) == 1  # degenerate distribution, variance 0
+    assert len(hundred) == 100
+    assert len(set(hundred)) == 1  # degenerate distribution, variance 0
     with pytest.raises(ValueError):
         run_sfp(params, config, sample, spec, 0, rng_seed=5)
 
@@ -143,11 +142,11 @@ def test_run_sfp_deterministic_and_pass_independent():
     spec = DropoutSpec(rate=0.2)
     a = run_sfp(params, config, sample, spec, 25, rng_seed=123)
     b = run_sfp(params, config, sample, spec, 25, rng_seed=123)
-    assert a.samples == b.samples
+    assert np.array_equal(a, b)
     # pass i is exactly an independent stochastic pass at the split seed
     for i in (0, 7, 24):
-        assert a.samples[i] == stochastic_forward(params, config, sample, spec, mix64(123, i))
-    assert len(set(a.samples)) > 1
+        assert a[i] == stochastic_forward(params, config, sample, spec, mix64(123, i))
+    assert len(set(a)) > 1
 
 
 def _mask_digests_per_step(params, config, sample, spec, seed, branch):
@@ -194,15 +193,21 @@ def test_default_rate_distribution_is_non_degenerate():
     rng = np.random.default_rng(12)
     sample = make_samples(rng, config, 1)[0]
     dist = run_sfp(params, config, sample, DropoutSpec(rate=0.01), 200, rng_seed=5)
-    assert len(set(dist.samples)) > 1
-    assert float(np.std(dist.samples)) > 0.0
+    assert len(set(dist)) > 1
+    assert float(np.std(dist)) > 0.0
 
 
 def test_predictive_distribution_validation():
-    with pytest.raises(ValueError):
-        PredictiveDistribution(samples=(0.5, 1.2))
-    d = PredictiveDistribution(samples=(0.25, 0.75))
-    assert d.n == 2
+    config = tiny_config()
+    params = init_params(config, seed=12)
+    sample = make_samples(np.random.default_rng(13), config, 1)[0]
+    spec = DropoutSpec(rate=0.0)
+    d = run_sfp(params, config, sample, spec, 2, rng_seed=1)
+    assert d.dtype == np.float64 and d.shape == (2,)
+    # an infinite logit gives no probability (NaN), which run_sfp refuses
+    params.tensors()["head.b_out"][...] = [np.inf, 0.0]
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        run_sfp(params, config, sample, spec, 2, rng_seed=1)
 
 
 def test_mask_set_records_seed():

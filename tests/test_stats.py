@@ -10,7 +10,6 @@ from crashcast.stats import (
     ConfusionCounts,
     GaussianFit,
     UncertaintyClass,
-    UncertaintyThresholds,
     accuracy_of,
     anova_oneway,
     classify_uncertainty,
@@ -217,8 +216,9 @@ def test_fit_gaussian():
     fit = fit_gaussian([0.0] * 500 + [1.0] * 500)
     assert fit.mean == pytest.approx(0.5, abs=1e-12)
     assert fit.variance == pytest.approx(0.25, abs=1e-12)
+    assert fit_gaussian([0.5]) == GaussianFit(0.5, 0.0)
     with pytest.raises(ValueError):
-        fit_gaussian([0.5])
+        fit_gaussian([])
 
 
 def test_fit_gaussian_recovers_sampled_mean():
@@ -263,6 +263,7 @@ def test_classify_diffuse_cluster():
     rng = np.random.default_rng(61)
     d = _mix(rng, [0.5], [0.15], [500])
     assert classify_uncertainty(d) is UncertaintyClass.DIFFUSE_UNIMODAL
+    assert classify_uncertainty(d, sigma_lo=0.5) is UncertaintyClass.CONFIDENT_UNIMODAL
 
 
 def test_classify_is_deterministic_and_permutation_invariant():
@@ -276,11 +277,8 @@ def test_classify_is_deterministic_and_permutation_invariant():
 
 
 def test_classify_refuses_small_samples():
-    with pytest.raises(ValueError):
-        classify_uncertainty([0.5] * 49)
-    # the floor itself is configurable
-    assert classify_uncertainty([0.5] * 49, UncertaintyThresholds(min_samples=10)) \
-        is UncertaintyClass.CONFIDENT_UNIMODAL
+    assert classify_uncertainty([0.5] * 49) is UncertaintyClass.INSUFFICIENT_SAMPLES
+    assert classify_uncertainty([0.5] * 50) is UncertaintyClass.CONFIDENT_UNIMODAL
 
 
 def test_anova_result_type():

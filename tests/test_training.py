@@ -10,10 +10,8 @@ import pytest
 from crashcast import training
 from crashcast.network import init_params, sample_losses
 from crashcast.report import read_csv
-from crashcast.stats import ConfusionCounts, mean_std
+from crashcast.stats import ConfusionCounts
 from crashcast.training import (
-    FoldResult,
-    KFoldResult,
     OptimizerState,
     TrainConfig,
     apply_update,
@@ -232,7 +230,7 @@ def test_overfit_tiny_trainset():
                      patience=10**6, validation_interval=10**6,
                      dropout_in_training=False)
     trained, _ = train(params, config, tc, trainset, [], rng_seed=4)
-    _, counts = evaluate(trained, config, trainset)
+    counts = evaluate(trained, config, trainset)
     from crashcast.stats import accuracy_of
     assert accuracy_of(counts) == 1.0
 
@@ -246,17 +244,17 @@ def test_evaluate_hardwired_and_thresholds():
     rng = np.random.default_rng(16)
     testset = make_samples(rng, config, 10)
     labels = [s.label for s in testset]
-    preds, counts = evaluate(params, config, testset)
-    assert preds == [1] * 10
+    counts = evaluate(params, config, testset)
+    assert counts.tp + counts.fp == 10  # every sample predicted collision
     assert counts.tn == 0 and counts.fn == 0
     assert counts.tp == sum(labels) and counts.fp == 10 - sum(labels)
     assert counts.total == len(testset)
     # threshold 0 predicts collision regardless of the output
     params.tensors()["head.b_out"][...] = [0.0, 50.0]
-    preds, counts = evaluate(params, config, testset, threshold=0.0)
-    assert preds == [1] * 10
-    preds05, counts05 = evaluate(params, config, testset, threshold=0.5)
-    assert preds05 == [0] * 10
+    counts = evaluate(params, config, testset, threshold=0.0)
+    assert counts.tp + counts.fp == 10
+    counts05 = evaluate(params, config, testset, threshold=0.5)
+    assert counts05.tp + counts05.fp == 0  # every sample predicted no collision
     assert counts05.total == 10
 
 
@@ -266,9 +264,9 @@ def test_evaluate_is_pure_and_deterministic():
     before = {n: t.copy() for n, t in params.tensors().items()}
     rng = np.random.default_rng(22)
     testset = make_samples(rng, config, 6)
-    p1, c1 = evaluate(params, config, testset)
-    p2, c2 = evaluate(params, config, testset)
-    assert p1 == p2 and c1 == c2
+    c1 = evaluate(params, config, testset)
+    c2 = evaluate(params, config, testset)
+    assert c1 == c2
     for n, t in params.tensors().items():
         assert (t == before[n]).all()
 
@@ -303,15 +301,11 @@ def test_run_kfold_smoke_and_aggregation():
     samples.label = episode_ids % 2
     tc = TrainConfig(batch_size=4, max_iterations=8, validation_interval=4,
                      patience=2, dropout_in_training=False)
-    result = run_kfold(samples, 3, config, tc, episode_ids=episode_ids, fold_unit="episodes",
-                       rng_seed=6)
-    assert isinstance(result, KFoldResult)
-    assert len(result.folds) == 3
-    assert all(isinstance(f, FoldResult) for f in result.folds)
-    assert sum(f.counts.total for f in result.folds) == 18
-    am, astd = mean_std(result.accuracies)
-    assert result.accuracy_mean == pytest.approx(am)
-    assert result.accuracy_std == pytest.approx(astd)
+    folds = run_kfold(samples, 3, config, tc, episode_ids=episode_ids, fold_unit="episodes",
+                      rng_seed=6)
+    assert len(folds) == 3
+    assert all(isinstance(c, ConfusionCounts) for c in folds)
+    assert sum(c.total for c in folds) == 18
     with pytest.raises(ValueError):
         run_kfold(samples, 1, config, tc)
 
@@ -328,9 +322,7 @@ def test_run_kfold_parallel_matches_sequential():
                     rng_seed=7, jobs=1)
     par = run_kfold(samples, 2, config, tc, episode_ids=episode_ids, fold_unit="episodes",
                     rng_seed=7, jobs=2)
-    assert [f.accuracy for f in seq.folds] == [f.accuracy for f in par.folds]
-    assert [f.mcc for f in seq.folds] == [f.mcc for f in par.folds]
-    assert [f.counts for f in seq.folds] == [f.counts for f in par.folds]
+    assert seq == par
 
 
 def _openblas_threads():
@@ -411,6 +403,6 @@ def test_constant_output_model_fold_stability():
         t[...] = 0.0
     params.tensors()["head.b_out"][...] = [50.0, 0.0]
     # a constant-output model scores exactly the fold's class balance
-    _, counts = evaluate(params, config, samples)
+    counts = evaluate(params, config, samples)
     assert counts.tp == 8 and counts.fp == 8
     assert ConfusionCounts(8, 0, 8, 0).total == 16
