@@ -11,7 +11,9 @@ before any work starts. A command that reads a dataset opens it through
 _open_dataset, which refuses a dataset the command's networks do not fit,
 and its provenance carries that dataset's hash. Only gen-data and
 experiment, which run worker processes, take --jobs; --jobs and --sfp take
-positive counts.
+positive counts. A gen-data task is a (scenario, delay) pair; experiment
+decides its folding once, from the .meta.csv episode ids or each sample's
+own index, and every sweep group is scored on that one fold plan.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/model error.
 """
@@ -47,7 +49,7 @@ from .stats import (
     mcc_of,
     mean_std,
 )
-from .training import evaluate, fork_map, run_kfold, train
+from .training import evaluate, fold_assignment, fork_map, run_kfold, train
 
 CAMERA_SWEEP = (
     ("left_mirror", ("left_mirror",)),
@@ -159,12 +161,14 @@ def _provenance(args, cfg, extra=None):
     return out
 
 
-def _gen_episode(task):
-    sid, delay, dt, max_duration, cams, world, horizon, seq_len, stride = task
-    episode = run_scenario(ScenarioSpec(sid, delay, dt=dt, max_duration=max_duration),
-                           cams, world, horizon)
-    frames = datamod.truncate_episode(episode, horizon)
-    return sid, episode.label, datamod.windowize(frames, seq_len, stride, label=episode.label)
+def _gen_episode(cfg, cams, world, sid, delay):
+    """(label, windows) of the episode of scenario sid with the given delay."""
+    episode = run_scenario(ScenarioSpec(sid, delay, dt=cfg.sim.dt,
+                                        max_duration=cfg.sim.max_duration),
+                           cams, world, cfg.data.horizon)
+    frames = datamod.truncate_episode(episode, cfg.data.horizon)
+    return episode.label, datamod.windowize(frames, cfg.data.seq_len, cfg.data.window_stride,
+                                            label=episode.label)
 
 
 def cmd_gen_data(args, cfg):
@@ -174,50 +178,38 @@ def cmd_gen_data(args, cfg):
                                     max_duration=cfg.sim.max_duration)
     lo = max(0.0, d_star - cfg.sim.delay_window)
     hi = d_star + cfg.sim.delay_window
-    tasks = []
-    for sid in cfg.sim.scenarios:
-        rng = np.random.default_rng(mix64(args.seed, sid))
-        for delay in rng.uniform(lo, hi, cfg.sim.episodes_per_scenario):
-            tasks.append((sid, float(delay), cfg.sim.dt, cfg.sim.max_duration,
-                          cams, world, cfg.data.horizon, cfg.data.seq_len,
-                          cfg.data.window_stride))
-    results = fork_map(_gen_episode, tasks, args.jobs)
-
-    per_scenario = {sid: {"episodes": 0, "collision_episodes": 0,
-                          "samples": 0, "collision_samples": 0}
-                    for sid in cfg.sim.scenarios}
-    for sid, label, windows in results:
-        stats = per_scenario[sid]
-        stats["episodes"] += 1
-        stats["collision_episodes"] += label
-        stats["samples"] += len(windows)
-        stats["collision_samples"] += len(windows) * label
-    scenario_of_episode, _labels, windows_of_episode = zip(*results)
-    if not sum(map(len, windows_of_episode)):
+    tasks = [(sid, float(delay)) for sid in cfg.sim.scenarios
+             for delay in np.random.default_rng(mix64(args.seed, sid)).uniform(
+                 lo, hi, cfg.sim.episodes_per_scenario)]
+    results = fork_map(lambda task: _gen_episode(cfg, cams, world, *task), tasks, args.jobs)
+    windows = [w for _label, w in results]
+    if not sum(map(len, windows)):
         raise ValueError("generation produced no samples; check episode and window settings")
 
     samples, episode_ids, window_index = datamod.assemble_dataset(
-        windows_of_episode, rng_seed=mix64(args.seed, 999))
+        windows, rng_seed=mix64(args.seed, 999))
     datamod.serialize_dataset(samples, args.out)
-    datamod.write_meta(episode_ids, np.array(scenario_of_episode)[episode_ids],
+    # per episode: scenario, label and window count
+    scenario = np.array([sid for sid, _delay in tasks])
+    label = np.array([episode_label for episode_label, _w in results])
+    count = np.array([len(w) for w in windows])
+    datamod.write_meta(episode_ids, scenario[episode_ids],
                        window_index * cfg.data.window_stride, args.out + ".meta.csv")
 
+    n_coll = int(samples.label.sum())
     rows = []
     for sid in cfg.sim.scenarios:
-        s = per_scenario[sid]
-        rows.append([sid, s["episodes"], s["collision_episodes"],
-                     s["samples"], s["collision_samples"]])
-    n_coll = int(samples.label.sum())
-    collision_episodes = sum(r[2] for r in rows)
-    rows.append(["total", len(results), collision_episodes,
-                 len(samples), n_coll])
+        pick = scenario == sid
+        rows.append([sid, int(pick.sum()), int(label[pick].sum()), int(count[pick].sum()),
+                     int(count[pick] @ label[pick])])
+    rows.append(["total", len(tasks), int(label.sum()), len(samples), n_coll])
     write_csv(args.out + ".gen.csv",
               ["scenario", "episodes", "collision_episodes", "samples", "collision_samples"],
               rows,
               _provenance(args, cfg, {"delay_threshold": repr(d_star),
                                       "dataset_sha256": file_sha256(args.out)}))
     print(f"wrote {len(samples)} samples ({n_coll} collision, "
-          f"{len(samples) - n_coll} no-collision) from {len(results)} episodes "
+          f"{len(samples) - n_coll} no-collision) from {len(tasks)} episodes "
           f"to {args.out}")
     print(f"delay threshold {d_star:.3f} s, sampling window [{lo:.3f}, {hi:.3f}] s")
     return 0
@@ -326,33 +318,31 @@ def cmd_experiment(args, cfg):
     groups = _experiment_groups(cfg, args.sweep)
     dataset = _open_dataset(args.data, *(net_config for _name, net_config in groups))
     fold_unit = args.fold_unit or cfg.eval.fold_unit
-    meta_path = args.data + ".meta.csv"
-    episode_ids = None
-    if os.path.exists(meta_path):
-        episode_ids, _scenarios = datamod.read_meta(meta_path, len(dataset.samples))
-    elif fold_unit == "episodes":
-        raise ValueError(
-            f"episode-level folding needs the sidecar {meta_path}; "
-            f"regenerate the dataset or pass --fold-unit samples")
-
-    os.makedirs(args.out, exist_ok=True)
+    n = len(dataset.samples)
+    if fold_unit == "samples":
+        units = np.arange(n)
+    else:
+        meta_path = args.data + ".meta.csv"
+        if not os.path.exists(meta_path):
+            raise ValueError(
+                f"episode-level folding needs the sidecar {meta_path}; "
+                f"regenerate the dataset or pass --fold-unit samples")
+        units, _scenarios = datamod.read_meta(meta_path, n)
     fold_seed = mix64(args.seed, 3)
+    folds = fold_assignment(units, cfg.eval.fold_k, fold_seed)
+    os.makedirs(args.out, exist_ok=True)
 
     fold_rows = []
     summary_rows = []
     scores = {"accuracy": {}, "mcc": {}}  # metric -> group -> per-fold values
-    mcc_means = []
     for group, net_config in groups:
-        folds = run_kfold(dataset.samples, cfg.eval.fold_k, net_config, cfg.train, cfg.dropout,
-                          episode_ids=episode_ids, fold_unit=fold_unit,
-                          val_fraction=cfg.eval.val_fraction,
-                          rng_seed=fold_seed, jobs=args.jobs)
-        accs = scores["accuracy"][group] = [accuracy_of(c) for c in folds]
-        mccs = scores["mcc"][group] = [mcc_of(c) for c in folds]
+        counts = run_kfold(dataset.samples, folds, net_config, cfg.train, cfg.dropout,
+                           cfg.eval.val_fraction, cfg.eval.threshold, fold_seed, args.jobs)
+        accs = scores["accuracy"][group] = [accuracy_of(c) for c in counts]
+        mccs = scores["mcc"][group] = [mcc_of(c) for c in counts]
         fold_rows += [[group, fold, acc, mcc] for fold, (acc, mcc) in enumerate(zip(accs, mccs))]
         acc_mean, acc_std = mean_std(accs)
         mcc_mean, mcc_std = mean_std(mccs)
-        mcc_means.append(mcc_mean)
         summary_rows.append([group, "accuracy", acc_mean, acc_std])
         summary_rows.append([group, "mcc", mcc_mean, mcc_std])
         print(f"{group}: accuracy {acc_mean:.4f} +/- {acc_std:.4f}  "
@@ -376,7 +366,7 @@ def cmd_experiment(args, cfg):
               ["metric", "f_value", "p_value", "df_between", "df_within", "degenerate"],
               anova_rows, prov)
     svg_bar_chart(os.path.join(args.out, "mcc_means.svg"),
-                  [group for group, _net_config in groups], mcc_means,
+                  list(scores["mcc"]), [mean_std(v)[0] for v in scores["mcc"].values()],
                   title=f"mean MCC by {args.sweep}")
     return 0
 

@@ -169,24 +169,15 @@ def _registry():
     """key -> (section name, field name, parser) for every known key."""
     reg = {}
     defaults = RunConfig()
-    tuple_items = {
-        "sim.scenarios": int,
-        "sim.cameras": str,
-        "data.split": float,
-        "net.cameras": str,
-        "net.conv_filters": int,
-        "net.conv_kernels": int,
-        "net.conv_strides": int,
-        "dropout.targets": str,
-    }
     for s in fields(defaults):
         section = getattr(defaults, s.name)
         for f in fields(section):
             key = f"{s.name}.{f.name}"
-            if isinstance(getattr(section, f.name), tuple):
-                parser = _list_parser(tuple_items[key])
+            default = getattr(section, f.name)
+            if isinstance(default, tuple):  # every tuple default is non-empty
+                parser = _list_parser(_PARSERS[type(default[0])])
             else:
-                parser = _PARSERS[type(getattr(section, f.name))]
+                parser = _PARSERS[type(default)]
             reg[key] = (s.name, f.name, parser)
     return reg
 

@@ -116,8 +116,6 @@ class Episode:
     frames: list
     label: int              # 1 collision, 0 no collision
     event_time: float       # collision time, or time of closest approach
-    scenario_id: int
-    delay: float
 
 
 def _snap(v):
@@ -299,8 +297,7 @@ def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
     frames = [SimFrame(t=t, images={cam.name: render_camera(s, o, cam, world) for cam in cams},
                        sensor=s, action=go)
               for t, s, o, go in states]
-    return Episode(frames=frames, label=label, event_time=event_time,
-                   scenario_id=spec.scenario_id, delay=spec.delay)
+    return Episode(frames=frames, label=label, event_time=event_time)
 
 
 def bisect_delay_threshold(scenario_id, world=WorldConfig(), dt=0.05,

@@ -119,8 +119,10 @@ def betainc_reg(a, b, x):
 
 def f_survival(f_value, df1, df2):
     """P(F(df1, df2) > f_value), the one-way ANOVA p-value tail."""
-    if df1 < 1 or df2 < 1:
+    if not (1 <= df1 < math.inf and 1 <= df2 < math.inf):
         raise ValueError("degrees of freedom must be positive integers")
+    if math.isnan(f_value):
+        raise ValueError("F statistic f_value is NaN")
     if f_value < 0:
         raise ValueError("F statistic cannot be negative")
     if f_value == 0.0:
@@ -153,6 +155,8 @@ def anova_oneway(groups):
     for name, v in arrays.items():
         if v.size < 2:
             raise ValueError(f"group {name!r} needs at least two values")
+        if not np.isfinite(v).all():
+            raise ValueError(f"group {name!r} holds a NaN or infinite value")
     n_total = sum(v.size for v in arrays.values())
     g = len(arrays)
     grand = sum(float(v.sum()) for v in arrays.values()) / n_total

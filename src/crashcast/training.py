@@ -7,8 +7,10 @@ used for stochastic forward passes. train() stops with stop_reason
 "nonfinite", before applying the update, when a batch's loss or gradient
 holds a NaN or an infinity.
 
-Fold training runs are independent; fork_map, the package's one worker
-pool, runs them in forked processes. Each fold fit runs with OpenBLAS
+run_kfold takes its folds as one array, which fold_assignment builds from
+each sample's group (its episode, or itself). The fold fits are
+independent; fork_map, the package's one worker pool, runs them in forked
+processes that inherit the fit closure. Each fold fit runs with OpenBLAS
 pinned to one thread, so fold results do not depend on the worker count or
 on the inherited BLAS thread setting.
 """
@@ -194,36 +196,14 @@ def evaluate(params, net_config, testset, threshold=0.5, chunk=64):
                            fp=int((~hit & preds).sum()), fn=int((hit & ~preds).sum()))
 
 
-def fold_assignment(episode_ids, k, fold_unit="episodes", rng_seed=0):
-    """Sample index -> fold index, folding at episode or sample granularity.
+def fold_assignment(groups, k, rng_seed=0):
+    """Sample index -> fold index, keeping each group's samples in one fold.
 
-    episode_ids holds each sample's episode; -1 marks an unknown one, which
-    only sample-level folding accepts.
+    groups holds each sample's group: its episode, or its own index, for
+    which this is kfold_plan(len(groups), k, rng_seed) itself.
     """
-    episode_ids = np.asarray(episode_ids)
-    if fold_unit == "samples":
-        return kfold_plan(len(episode_ids), k, rng_seed)
-    if fold_unit != "episodes":
-        raise ValueError(f"unknown fold unit {fold_unit!r}")
-    if (episode_ids < 0).any():
-        raise ValueError("episode identity unknown; load the sidecar meta or fold at sample level")
-    unique, episode_of_sample = np.unique(episode_ids, return_inverse=True)
-    return kfold_plan(len(unique), k, rng_seed)[episode_of_sample]
-
-
-def _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
-                  val_fraction, rng_seed):
-    test_idx = np.nonzero(assignment == fold)[0]
-    pool_idx = np.nonzero(assignment != fold)[0]
-    rng = np.random.default_rng(mix64(rng_seed, 5_000 + fold))
-    perm = rng.permutation(len(pool_idx))
-    n_val = max(1, int(math.floor(len(pool_idx) * val_fraction)))
-    val_idx = pool_idx[perm[:n_val]]
-    train_idx = pool_idx[perm[n_val:]]
-    params = init_params(net_config, seed=mix64(rng_seed, fold))
-    trained, _report = train(params, net_config, config, samples[train_idx], samples[val_idx],
-                             dropout_spec, rng_seed=mix64(rng_seed, 100 + fold))
-    return evaluate(trained, net_config, samples[test_idx])
+    unique, group_of_sample = np.unique(groups, return_inverse=True)
+    return kfold_plan(len(unique), k, rng_seed)[group_of_sample]
 
 
 _FORK_FN = None  # the function fork_map's workers run, inherited through fork
@@ -302,22 +282,28 @@ def _one_blas_thread():
         set_(before)
 
 
-def run_kfold(samples, k, net_config, config, dropout_spec=None, episode_ids=None,
-              fold_unit="episodes", val_fraction=0.1, rng_seed=0, jobs=1):
-    """Rotate k held-out folds; returns each fold's test ConfusionCounts, in fold order.
+def run_kfold(samples, folds, net_config, config, dropout_spec=None, val_fraction=0.1,
+              threshold=0.5, rng_seed=0, jobs=1):
+    """Hold out each fold of the fold array in turn; returns each fold's test
+    ConfusionCounts, in fold order.
 
-    episode_ids (each sample's episode, from the sidecar) is needed to fold
-    at episode level; without it every episode is unknown.
+    Each fit trains on the other folds less a val_fraction share (at least
+    one sample) that validates it, and scores its fold at threshold.
     """
+    k = int(folds.max()) + 1
     if k < 2:
         raise ValueError("k-fold needs k >= 2")
-    if episode_ids is None:
-        episode_ids = np.full(len(samples), -1)
-    assignment = fold_assignment(episode_ids, k, fold_unit, rng_seed)
 
     def fit(fold):
-        return _run_one_fold(fold, samples, assignment, net_config, config, dropout_spec,
-                             val_fraction, rng_seed)
+        test_idx = np.nonzero(folds == fold)[0]
+        pool_idx = np.nonzero(folds != fold)[0]
+        perm = np.random.default_rng(mix64(rng_seed, 5_000 + fold)).permutation(len(pool_idx))
+        n_val = max(1, int(math.floor(len(pool_idx) * val_fraction)))
+        params = init_params(net_config, seed=mix64(rng_seed, fold))
+        trained, _report = train(params, net_config, config, samples[pool_idx[perm[n_val:]]],
+                                 samples[pool_idx[perm[:n_val]]], dropout_spec,
+                                 rng_seed=mix64(rng_seed, 100 + fold))
+        return evaluate(trained, net_config, samples[test_idx], threshold)
 
     with _one_blas_thread():
         return fork_map(fit, range(k), jobs)

@@ -442,6 +442,15 @@ def test_cli_gen_data_parallel_matches_sequential(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("setting", ["sim.episodes_per_scenario=0", "sim.scenarios="])
+def test_cli_gen_data_without_episodes_exits_2(tmp_path, capsys, setting):
+    out = tmp_path / "none.dpmd"
+    assert run_cli("gen-data", "--out", str(out), *FAST_GEN, "--set", setting) == 2
+    err = capsys.readouterr().err
+    assert "generation produced no samples; check episode and window settings" in err
+    assert not out.exists()
+
+
 TRAIN_FAST = [
     "--set", "sim.image_size=8",
     "--set", "train.max_iterations=12",

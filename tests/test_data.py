@@ -23,6 +23,7 @@ from crashcast.data import (
 )
 from crashcast.cli import _gen_episode
 from crashcast.cli import main as cli_main
+from crashcast.config import load_config
 from crashcast.sim import ScenarioSpec, WorldConfig, default_cameras, run_scenario
 
 
@@ -82,12 +83,12 @@ def test_truncate_never_empty_and_builds_state_vector():
 def test_gen_episode_equals_truncated_full_run(horizon):
     cams = default_cameras(rows=6, cols=6)
     world = WorldConfig()
+    cfg = load_config(None, [f"data.horizon={horizon}", "data.seq_len=5", "data.window_stride=3"])
     for sid, delay in ((1, 0.1), (2, 0.45), (3, 0.3), (4, 0.2)):
-        got_sid, label, windows = _gen_episode((sid, delay, 0.05, 12.0, cams, world, horizon,
-                                                5, 3))
+        label, windows = _gen_episode(cfg, cams, world, sid, delay)
         full = run_scenario(ScenarioSpec(sid, delay), cams, world)
         want = windowize(truncate_episode(full, horizon), 5, 3, label=full.label)
-        assert (got_sid, label) == (sid, full.label)
+        assert label == full.label
         assert len(windows) == len(want) > 0
         assert windows.tobytes() == want.tobytes()
 

@@ -210,6 +210,21 @@ def test_anova_validates_groups():
         anova_oneway({"a": [1.0, 2.0], "b": [3.0]})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_anova_refuses_non_finite_values_naming_the_group(bad):
+    with pytest.raises(ValueError, match="group 'b' holds a NaN or infinite value"):
+        anova_oneway({"a": [1.0, 2.0], "b": [3.0, bad]})
+
+
+def test_f_survival_refuses_nan_naming_the_argument():
+    with pytest.raises(ValueError, match="f_value is NaN"):
+        f_survival(math.nan, 1, 2)
+    for df1, df2 in ((math.nan, 2), (1, math.nan), (math.inf, 2), (1, math.inf)):
+        with pytest.raises(ValueError, match="degrees of freedom"):
+            f_survival(1.0, df1, df2)
+    assert f_survival(math.inf, 1, 2) == 0.0
+
+
 def test_fit_gaussian():
     fit = fit_gaussian([0.7] * 10)
     assert fit == GaussianFit(0.7, 0.0)

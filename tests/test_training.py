@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crashcast import training
+from crashcast.data import kfold_plan
 from crashcast.network import init_params, sample_losses
 from crashcast.report import read_csv
 from crashcast.stats import ConfusionCounts
@@ -276,21 +277,22 @@ def test_fold_assignment_disjoint_and_episode_coherent():
     rng = np.random.default_rng(17)
     samples = make_samples(rng, config, 24)
     episode_ids = np.arange(len(samples)) // 4
-    assign = fold_assignment(episode_ids, 3, fold_unit="episodes", rng_seed=5)
+    assign = fold_assignment(episode_ids, 3, rng_seed=5)
     assert assign.shape == (24,)
     by_episode = {}
     for i, eid in enumerate(episode_ids):
         by_episode.setdefault(eid, set()).add(int(assign[i]))
     for folds in by_episode.values():
         assert len(folds) == 1  # windows of one episode never straddle folds
-    assign_s = fold_assignment(episode_ids, 4, fold_unit="samples", rng_seed=5)
+    assign_s = fold_assignment(np.arange(len(samples)), 4, rng_seed=5)
     sizes = np.bincount(assign_s)
     assert sizes.sum() == 24 and max(sizes) - min(sizes) <= 1
-    episode_ids[0] = -1
-    with pytest.raises(ValueError):
-        fold_assignment(episode_ids, 3, fold_unit="episodes")
-    with pytest.raises(ValueError):
-        fold_assignment(episode_ids, 3, fold_unit="windows")
+
+
+@pytest.mark.parametrize("n,k,seed", [(24, 4, 5), (23, 5, 7), (10, 10, 6), (101, 3, 0)])
+def test_fold_assignment_of_sample_indices_is_kfold_plan(n, k, seed):
+    # why folding at sample level keeps the fold plan of kfold_plan bit for bit
+    assert fold_assignment(np.arange(n), k, seed).tobytes() == kfold_plan(n, k, seed).tobytes()
 
 
 def test_run_kfold_smoke_and_aggregation():
@@ -301,27 +303,39 @@ def test_run_kfold_smoke_and_aggregation():
     samples.label = episode_ids % 2
     tc = TrainConfig(batch_size=4, max_iterations=8, validation_interval=4,
                      patience=2, dropout_in_training=False)
-    folds = run_kfold(samples, 3, config, tc, episode_ids=episode_ids, fold_unit="episodes",
-                      rng_seed=6)
-    assert len(folds) == 3
-    assert all(isinstance(c, ConfusionCounts) for c in folds)
-    assert sum(c.total for c in folds) == 18
+    folds = fold_assignment(episode_ids, 3, rng_seed=6)
+    counts = run_kfold(samples, folds, config, tc, rng_seed=6)
+    assert len(counts) == 3
+    assert all(isinstance(c, ConfusionCounts) for c in counts)
+    assert [c.total for c in counts] == np.bincount(folds).tolist()
     with pytest.raises(ValueError):
-        run_kfold(samples, 1, config, tc)
+        run_kfold(samples, fold_assignment(episode_ids, 1), config, tc)
+
+
+def test_run_kfold_scores_at_the_threshold():
+    config = tiny_config()
+    rng = np.random.default_rng(24)
+    samples = make_samples(rng, config, 12)
+    samples.label = np.arange(len(samples)) % 2
+    tc = TrainConfig(batch_size=4, max_iterations=2, validation_interval=1,
+                     patience=2, dropout_in_training=False)
+    folds = fold_assignment(np.arange(len(samples)) // 2, 3, rng_seed=3)
+    # every probability is >= 0, so threshold 0 calls every sample a collision
+    counts = run_kfold(samples, folds, config, tc, threshold=0.0, rng_seed=3)
+    assert all(c.tn == c.fn == 0 for c in counts)
+    assert sum(c.tp for c in counts) == sum(c.fp for c in counts) == 6
 
 
 def test_run_kfold_parallel_matches_sequential():
     config = tiny_config()
     rng = np.random.default_rng(19)
     samples = make_samples(rng, config, 12)
-    episode_ids = np.arange(len(samples)) // 2
+    folds = fold_assignment(np.arange(len(samples)) // 2, 2, rng_seed=7)
     samples.label = np.arange(len(samples)) % 2
     tc = TrainConfig(batch_size=4, max_iterations=6, validation_interval=3,
                      patience=2, dropout_in_training=False)
-    seq = run_kfold(samples, 2, config, tc, episode_ids=episode_ids, fold_unit="episodes",
-                    rng_seed=7, jobs=1)
-    par = run_kfold(samples, 2, config, tc, episode_ids=episode_ids, fold_unit="episodes",
-                    rng_seed=7, jobs=2)
+    seq = run_kfold(samples, folds, config, tc, rng_seed=7, jobs=1)
+    par = run_kfold(samples, folds, config, tc, rng_seed=7, jobs=2)
     assert seq == par
 
 
@@ -352,7 +366,7 @@ def test_run_kfold_fits_folds_on_one_blas_thread(tmp_path, monkeypatch):
     config = tiny_config()
     rng = np.random.default_rng(23)
     samples = make_samples(rng, config, 8)
-    episode_ids = np.arange(len(samples)) // 2
+    folds = fold_assignment(np.arange(len(samples)) // 2, 2, rng_seed=8)
     samples.label = np.arange(len(samples)) % 2
     tc = TrainConfig(batch_size=4, max_iterations=2, validation_interval=2,
                      patience=1, dropout_in_training=False)
@@ -361,11 +375,11 @@ def test_run_kfold_fits_folds_on_one_blas_thread(tmp_path, monkeypatch):
     try:
         monkeypatch.setattr(training, "train", logging_train)
         for jobs in (1, 2):
-            run_kfold(samples, 2, config, tc, episode_ids=episode_ids, rng_seed=8, jobs=jobs)
+            run_kfold(samples, folds, config, tc, rng_seed=8, jobs=jobs)
             assert get() == 2
         monkeypatch.setattr(training, "train", failing_train)
         with pytest.raises(RuntimeError):
-            run_kfold(samples, 2, config, tc, episode_ids=episode_ids, rng_seed=8)
+            run_kfold(samples, folds, config, tc, rng_seed=8)
         assert get() == 2
     finally:
         set_(caller)
