@@ -10,10 +10,11 @@ value is checked as it is parsed, so a bad value exits 1 naming its key
 before any work starts. A command that reads a dataset opens it through
 _open_dataset, which refuses a dataset the command's networks do not fit,
 and its provenance carries that dataset's hash. Only gen-data and
-experiment, which run worker processes, take --jobs; --jobs and --sfp take
-positive counts. A gen-data task is a (scenario, delay) pair; experiment
-decides its folding once, from the .meta.csv episode ids or each sample's
-own index, and every sweep group is scored on that one fold plan.
+experiment take --jobs; predict runs its passes on every core of its CPU
+affinity, with an output that does not depend on the core count. --jobs and
+--sfp take positive counts. A gen-data task is a (scenario, delay) pair;
+experiment decides its folding once, from the .meta.csv episode ids or each
+sample's own index, and every sweep group is scored on that one fold plan.
 
 Exit codes: 0 success, 1 usage/config error, 2 data/model error.
 """
@@ -31,6 +32,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError
 from .dropout import mix64, run_sfp
 from .network import init_params
+from .parallel import fork_map
 from .report import (
     file_sha256,
     read_csv,
@@ -49,7 +51,7 @@ from .stats import (
     mcc_of,
     mean_std,
 )
-from .training import evaluate, fold_assignment, fork_map, run_kfold, train
+from .training import evaluate, fold_assignment, run_kfold, train
 
 CAMERA_SWEEP = (
     ("left_mirror", ("left_mirror",)),

@@ -64,6 +64,9 @@ class SimSettings:
     def __post_init__(self):
         if self.episodes_per_scenario < 0:
             raise ValueError("episodes per scenario must be >= 0")
+        # a repeated scenario would draw the same delays and duplicate its windows
+        if len(set(self.scenarios)) != len(self.scenarios):
+            raise ValueError(f"scenarios must be distinct, got {self.scenarios}")
         for cam in self.cameras:
             if cam not in CAMERA_ORDER:
                 raise ValueError(f"unknown camera {cam!r}; choose from {CAMERA_ORDER}")

@@ -9,13 +9,19 @@ rescaling anywhere: a rate of zero is exactly the deterministic forward.
 
 Pass seeds derive from the run seed through a splitmix64-style avalanche
 mixer, so distributions are reproducible and individual passes independent.
+run_sfp splits its passes into contiguous ranges, one per core of the
+process's CPU affinity, and runs them in forked workers with OpenBLAS pinned
+to one thread, so its result depends on neither the worker count nor the
+inherited BLAS thread setting.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import MASKABLE_FAMILIES, dpm_forward
+from .parallel import fork_map, one_blas_thread
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,8 +92,16 @@ def run_sfp(params, config, sample, spec, n, rng_seed):
     """
     if n < 1:
         raise ValueError("need at least one stochastic pass")
-    values = np.array([stochastic_forward(params, config, sample, spec, mix64(rng_seed, i))
-                       for i in range(n)])
+
+    def passes(span):
+        return [stochastic_forward(params, config, sample, spec, mix64(rng_seed, i))
+                for i in range(*span)]
+
+    jobs = min(len(os.sched_getaffinity(0)), n)
+    bounds = [n * w // jobs for w in range(jobs + 1)]
+    with one_blas_thread():
+        parts = fork_map(passes, list(zip(bounds[:-1], bounds[1:])), jobs)
+    values = np.array([p for part in parts for p in part])
     outside = values[~((values >= 0.0) & (values <= 1.0))]
     if outside.size:
         raise ValueError(f"collision probability {outside[0]} outside [0, 1]")

@@ -300,7 +300,8 @@ def sigmoid(x, out=None):
     itself.
     """
     x = np.asarray(x, dtype=np.float64)
-    den = np.copysign(x, -1.0, out=np.empty_like(x))  # -|x|
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)  # -|x|
     np.exp(den, out=den)
     den += 1.0
     num = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)

@@ -9,19 +9,14 @@ holds a NaN or an infinity.
 
 run_kfold takes its folds as one array, which fold_assignment builds from
 each sample's group (its episode, or itself). The fold fits are
-independent; fork_map, the package's one worker pool, runs them in forked
-processes that inherit the fit closure. Each fold fit runs with OpenBLAS
-pinned to one thread, so fold results do not depend on the worker count or
-on the inherited BLAS thread setting.
+independent; parallel.fork_map runs them in forked processes that inherit
+the fit closure. Each fold fit runs with OpenBLAS pinned to one thread, so
+fold results do not depend on the worker count or on the inherited BLAS
+thread setting.
 """
 
-import ctypes
 import math
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +24,7 @@ import numpy as np
 from .data import kfold_plan
 from .dropout import mix64, sample_masks
 from .network import dpm_forward_batch, dpm_gradients, init_params, sample_losses
+from .parallel import fork_map, one_blas_thread
 from .stats import ConfusionCounts
 
 
@@ -206,82 +202,6 @@ def fold_assignment(groups, k, rng_seed=0):
     return kfold_plan(len(unique), k, rng_seed)[group_of_sample]
 
 
-_FORK_FN = None  # the function fork_map's workers run, inherited through fork
-
-
-def _fork_call(task):
-    return _FORK_FN(task)
-
-
-def fork_map(fn, tasks, jobs):
-    """[fn(t) for t in tasks], in `jobs` forked worker processes when jobs > 1.
-
-    The workers inherit fn through fork, so it may be a closure; only the
-    tasks and the results are pickled. Results keep the order of the tasks.
-    """
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    global _FORK_FN
-    _FORK_FN = fn
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            return list(pool.map(_fork_call, tasks))
-    finally:
-        _FORK_FN = None
-
-
-def _openblas_threads():
-    """(get, set) of the thread count of the loaded OpenBLAS, or None.
-
-    Found through the process's own memory map; None where that map is
-    unreadable or the loaded BLAS is not OpenBLAS. numpy's bundled copy
-    exports scipy_openblas_*64_ names, a system OpenBLAS the plain ones.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
-                            if "openblas" in line})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except OSError:
-            continue
-        for pattern in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            try:
-                get, set_ = (getattr(lib, pattern.format(op)) for op in ("get", "set"))
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block, then restore the caller's count.
-
-    Forked fold workers inherit the pin. Two BLAS threads per worker would
-    oversubscribe the cores under --jobs, and the thread count changes the
-    low bits of the GEMM results, so one thread everywhere also makes fold
-    results independent of the worker count.
-    """
-    blas = _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
-
-
 def run_kfold(samples, folds, net_config, config, dropout_spec=None, val_fraction=0.1,
               threshold=0.5, rng_seed=0, jobs=1):
     """Hold out each fold of the fold array in turn; returns each fold's test
@@ -305,5 +225,5 @@ def run_kfold(samples, folds, net_config, config, dropout_spec=None, val_fractio
                                  rng_seed=mix64(rng_seed, 100 + fold))
         return evaluate(trained, net_config, samples[test_idx], threshold)
 
-    with _one_blas_thread():
+    with one_blas_thread():
         return fork_map(fit, range(k), jobs)

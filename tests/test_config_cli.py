@@ -93,6 +93,8 @@ BAD_SETTINGS = [
     ("sim.fov_deg=200", "bad sim settings"),
     ("sim.cameras=dashcam", "'sim.cameras'"),
     ("sim.cameras=right_mirror,left_mirror", "'sim.cameras'"),
+    ("sim.scenarios=1,1", "'sim.scenarios'"),
+    ("sim.scenarios=2,4,2", "'sim.scenarios'"),
     ("data.seq_len=0", "'data.seq_len'"),
     ("data.window_stride=0", "'data.window_stride'"),
     ("data.split=0.5,0.5,0.5", "'data.split'"),

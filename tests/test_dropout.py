@@ -1,10 +1,13 @@
 """MC-dropout tests: mask statistics, determinism, and mask constancy in time."""
 
 import hashlib
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from crashcast import dropout
 from crashcast.dropout import (
     DropoutSpec,
     MaskSet,
@@ -16,6 +19,7 @@ from crashcast.dropout import (
 from crashcast.network import dpm_forward, init_params
 
 from test_network import make_samples, tiny_config
+from test_training import _openblas_threads
 
 
 def test_mix64_is_deterministic_and_spreads():
@@ -147,6 +151,74 @@ def test_run_sfp_deterministic_and_pass_independent():
     for i in (0, 7, 24):
         assert a[i] == stochastic_forward(params, config, sample, spec, mix64(123, i))
     assert len(set(a)) > 1
+
+
+def _sfp_case(seed):
+    config = tiny_config()
+    params = init_params(config, seed=seed)
+    sample = make_samples(np.random.default_rng(seed + 1), config, 1)[0]
+    return params, config, sample, DropoutSpec(rate=0.2)
+
+
+def test_run_sfp_does_not_depend_on_worker_count():
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("needs at least two CPUs")
+    params, config, sample, spec = _sfp_case(14)
+    serial = np.array([stochastic_forward(params, config, sample, spec, mix64(31, i))
+                       for i in range(7)])
+    runs = {}
+    try:
+        for allowed in ({min(cpus)}, set(sorted(cpus)[:2])):
+            os.sched_setaffinity(0, allowed)
+            runs[len(allowed)] = run_sfp(params, config, sample, spec, 7, rng_seed=31)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert runs[1].tobytes() == runs[2].tobytes() == serial.tobytes()
+
+
+def _log_passes(monkeypatch, log, note=lambda: "-"):
+    """Make each stochastic pass append "<pid> <note()>" to log."""
+    real_forward = dropout.stochastic_forward
+
+    def logging_forward(*args, **kwargs):
+        with open(log, "a") as fh:  # forked workers append here too
+            fh.write(f"{os.getpid()} {note()}\n")
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(dropout, "stochastic_forward", logging_forward)
+
+
+def test_run_sfp_does_not_depend_on_blas_threads(tmp_path, monkeypatch):
+    get, set_ = _openblas_threads()
+    log = tmp_path / "passes.log"
+    _log_passes(monkeypatch, log, get)
+    params, config, sample, spec = _sfp_case(15)
+    caller = get()
+    runs = []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            runs.append(run_sfp(params, config, sample, spec, 6, rng_seed=32))
+            assert get() == threads
+    finally:
+        set_(caller)
+    assert runs[0].tobytes() == runs[1].tobytes()
+    assert [line.split()[1] for line in log.read_text().splitlines()] == ["1"] * 12
+
+
+def test_run_sfp_workers_exit_and_one_pass_stays_in_process(tmp_path, monkeypatch):
+    log = tmp_path / "pids.log"
+    _log_passes(monkeypatch, log)
+    params, config, sample, spec = _sfp_case(16)
+    run_sfp(params, config, sample, spec, 1, rng_seed=33)
+    run_sfp(params, config, sample, spec, 4, rng_seed=33)
+    assert multiprocessing.active_children() == []
+    single, *pids = [line.split()[0] for line in log.read_text().splitlines()]
+    assert single == str(os.getpid())  # the one pass forked nothing
+    assert len(pids) == 4
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert str(os.getpid()) not in pids and len(set(pids)) == 2
 
 
 def _mask_digests_per_step(params, config, sample, spec, seed, branch):

@@ -125,10 +125,11 @@ def sigmoid_masked(x):
 
 def test_sigmoid_bitwise_equals_masked_form():
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-             36.0, -36.0, 37.0, -37.0, 700.0, -700.0, 745.0, -745.0, 800.0, -800.0,
-             np.inf, -np.inf, np.nan]
+             1e-300, -1e-300, 36.0, -36.0, 37.0, -37.0, 700.0, -700.0, 745.0, -745.0,
+             800.0, -800.0, np.inf, -np.inf, np.nan]
     rng = np.random.default_rng(4)
-    x = np.concatenate([edges, rng.standard_normal(100_000) * 50])
+    x = np.concatenate([edges, rng.standard_normal(100_000) * 50,
+                        rng.standard_normal(100_000) * 800])
     nan = np.isnan(x)
     want = sigmoid_masked(x)
     for got in (sigmoid(x), sigmoid(x.copy(), out=np.empty_like(x))):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crashcast import training
+from crashcast import parallel, training
 from crashcast.data import kfold_plan
 from crashcast.network import init_params, sample_losses
 from crashcast.report import read_csv
@@ -199,8 +199,8 @@ def test_fork_map_runs_closures_in_task_order():
     def add(task):  # a closure: only tasks and results cross the fork
         return task + offset, os.getpid()
 
-    seq = training.fork_map(add, range(5), 1)
-    par = training.fork_map(add, range(5), 2)
+    seq = parallel.fork_map(add, range(5), 1)
+    par = parallel.fork_map(add, range(5), 2)
     assert [r for r, _ in seq] == [r for r, _ in par] == [10, 11, 12, 13, 14]
     assert {pid for _, pid in seq} == {os.getpid()}
     assert os.getpid() not in {pid for _, pid in par}
@@ -345,7 +345,7 @@ def _openblas_threads():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in str(blas.get("name", "")).lower():
         pytest.skip("numpy does not link OpenBLAS")
-    found = training._openblas_threads()
+    found = parallel.openblas_threads()
     assert found is not None, "numpy links OpenBLAS, but no loaded OpenBLAS was found"
     return found
 
