@@ -130,8 +130,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--sweep", choices=("input_mode", "camera"), required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--fold-unit", choices=("episodes", "samples"),
-                   help="override eval.fold_unit")
 
     p = sub.add_parser("predict", help="stochastic forward passes for one sample")
     _add_common(p)
@@ -319,16 +317,15 @@ def _experiment_groups(cfg, sweep):
 def cmd_experiment(args, cfg):
     groups = _experiment_groups(cfg, args.sweep)
     dataset = _open_dataset(args.data, *(net_config for _name, net_config in groups))
-    fold_unit = args.fold_unit or cfg.eval.fold_unit
     n = len(dataset.samples)
-    if fold_unit == "samples":
+    if cfg.eval.fold_unit == "samples":
         units = np.arange(n)
     else:
         meta_path = args.data + ".meta.csv"
         if not os.path.exists(meta_path):
             raise ValueError(
                 f"episode-level folding needs the sidecar {meta_path}; "
-                f"regenerate the dataset or pass --fold-unit samples")
+                f"regenerate the dataset or set eval.fold_unit=samples")
         units, _scenarios = datamod.read_meta(meta_path, n)
     fold_seed = mix64(args.seed, 3)
     folds = fold_assignment(units, cfg.eval.fold_k, fold_seed)
@@ -358,7 +355,7 @@ def cmd_experiment(args, cfg):
         print(f"ANOVA {metric}: F={res.f_value:.4f} p={res.p_value:.6f} "
               f"df=({res.df_between},{res.df_within})")
 
-    prov = _provenance(args, cfg, {"sweep": args.sweep, "fold_unit": fold_unit,
+    prov = _provenance(args, cfg, {"sweep": args.sweep, "fold_unit": cfg.eval.fold_unit,
                                    "folds": cfg.eval.fold_k})
     write_csv(os.path.join(args.out, "folds.csv"),
               ["group", "fold", "accuracy", "mcc"], fold_rows, prov)

@@ -2,6 +2,7 @@
 
 The file format is UTF-8 text, one `key = value` per line, `#` comments.
 Every key has a default; command-line overrides win over file values.
+Float values must be finite: `nan` and `inf` are refused at their key.
 
 Each section is a frozen dataclass; `train` and `dropout` are the engine's
 own TrainConfig and DropoutSpec. Every key is set through
@@ -159,10 +160,17 @@ def _canonical(value):
     return str(value)
 
 
+def _parse_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 # int() and float() ignore surrounding whitespace
 _PARSERS = {
     int: int,
-    float: float,
+    float: _parse_float,
     str: str.strip,
     bool: _parse_bool,
 }
@@ -225,7 +233,7 @@ def load_config(path=None, overrides=()):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return parse_config(text, overrides, source=str(path))
 

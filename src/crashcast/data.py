@@ -76,11 +76,8 @@ class Dataset:
 
 
 def quantize_image(img):
-    """Map a float image in [0, 1] (or a uint8 image) to storage bytes."""
-    arr = np.asarray(img)
-    if arr.dtype == np.uint8:
-        return arr
-    return np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
+    """Map a float image in [0, 1] to storage bytes."""
+    return np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
 
 
 def truncate_episode(episode, horizon=5.0):

@@ -53,7 +53,6 @@ class DropoutSpec:
 @dataclass
 class MaskSet:
     masks: dict
-    seed: int
 
 
 def _maskable_names(params, spec):
@@ -74,13 +73,13 @@ def sample_masks(spec, params, rng_seed):
     masks = {}
     for name in _maskable_names(params, spec):
         masks[name] = (rng.random(tensors[name].shape) >= spec.rate).astype(np.float64)
-    return MaskSet(masks=masks, seed=int(rng_seed) & _MASK64)
+    return MaskSet(masks=masks)
 
 
-def stochastic_forward(params, config, sample, spec, rng_seed, step_hook=None):
+def stochastic_forward(params, config, sample, spec, rng_seed):
     """One stochastic pass; returns P(collision) with fresh masks."""
     mask_set = sample_masks(spec, params, rng_seed)
-    probs = dpm_forward(params, config, sample, mask_set.masks, step_hook=step_hook)
+    probs = dpm_forward(params, config, sample, mask_set.masks)
     return float(probs[0])
 
 

@@ -214,15 +214,14 @@ def init_params(config, seed=0):
 # over all L*B frames of a layer, and its weight and bias gradients one GEMM
 # over the stacked dz of all steps. The recurrent term is one GEMM per step.
 
-def _im2col(xp, m, n, stride, oh, ow, out=None):
-    """Columns of a padded channels-first tensor xp (c, ..., Hp, Wp).
+def _im2col(xp, m, n, stride, oh, ow, out):
+    """Columns of a padded channels-first tensor xp (c, ..., Hp, Wp), written into `out`.
 
     Returns (m*n*c, prod(...)*oh*ow): row (u, v, ch) holds what kernel tap
     (u, v) of channel ch sees at every output position, matching the
-    (m, n, c, p) kernel layout. `out` is an optional reusable workspace.
+    (m, n, c, p) kernel layout.
     """
-    shape = (m, n) + xp.shape[:-2] + (oh, ow)
-    col = np.empty(shape) if out is None else out.reshape(shape)
+    col = out.reshape((m, n) + xp.shape[:-2] + (oh, ow))
     for u in range(m):
         for v in range(n):
             col[u, v] = xp[..., u : u + (oh - 1) * stride + 1 : stride,
@@ -341,12 +340,12 @@ class _LayerRun:
 # temporary per operation costs more than the arithmetic. Each group of
 # calls is annotated with the expression it evaluates.
 
-def _layer_forward(layer, xp, stride=1, h0=None, c0=None, hook=None, keep_cols=False):
+def _layer_forward(layer, xp, stride=1, h0=None, c0=None, keep_cols=False):
     """Runs one ConvLSTM layer (a _layer map) over a padded channels-first sequence.
 
     xp: (c, L, B, H+2a, W+2b) with a, b = m//2, n//2; h0, c0: optional
-    (p, B, q', r') initial states, zero when omitted. hook(t), when given,
-    is called before step t. keep_cols keeps the input columns for a backward.
+    (p, B, q', r') initial states, zero when omitted. keep_cols keeps the
+    input columns for a backward.
     """
     m, n, _, p = layer["w_xi"].shape
     a, b = m // 2, n // 2
@@ -374,8 +373,6 @@ def _layer_forward(layer, xp, stride=1, h0=None, c0=None, hook=None, keep_cols=F
     tmp = np.empty((2, p, batch, q * r))
     mul, add = np.multiply, np.add
     for t in range(length):
-        if hook is not None:
-            hook(t)
         z = gates[:, :, t]
         if t > 0 or h0 is not None:  # W_h * H(t-1) vanishes on a zero initial state
             np.matmul(wh.T, _im2col(hs[:, t], m, n, 1, q, r, col_h), out=zh)
@@ -525,13 +522,11 @@ def inputs_from_samples(config, samples):
     return images, states
 
 
-def _forward_batch(params, config, images, states, masks=None, cache=None, step_hook=None):
+def _forward_batch(params, config, images, states, masks=None, cache=None):
     """Run the network on stacked inputs; returns (B, 2) probabilities.
 
     Each mask multiplies its named tensor once per pass, so every time step
-    sees the same weights. step_hook(branch, layer_index, t, effective_layer),
-    when given, observes the exact field -> array map applied at every time
-    step (test instrumentation for that mask-constancy requirement).
+    sees the same weights.
     """
     tensors = params.tensors()
     if masks:
@@ -542,10 +537,7 @@ def _forward_batch(params, config, images, states, masks=None, cache=None, step_
         xp = _core_input(images[cam], layers[0])
         for li, (layer, stride, seqs) in enumerate(zip(layers, config.conv_strides,
                                                        config.conv_return_sequences)):
-            hook = None
-            if step_hook is not None:
-                hook = lambda t, cam=cam, li=li, layer=layer: step_hook(cam, li, t, layer)
-            run = _layer_forward(layer, xp, stride, hook=hook, keep_cols=cache is not None)
+            run = _layer_forward(layer, xp, stride, keep_cols=cache is not None)
             if cache is not None:
                 cache["conv"][(cam, li)] = run
             # the next layer sees every hidden state, or only the last one
@@ -562,12 +554,8 @@ def _forward_batch(params, config, images, states, masks=None, cache=None, step_
         if states is None:
             raise ValueError(f"input mode {config.input_mode!r} requires state sequences")
         layer = _layer(tensors, "lstm")
-        hook = None
-        if step_hook is not None:
-            hook = lambda t: step_hook("state", 0, t, layer)
         # (B, L, d) -> (d, L, B, 1, 1): one 1x1 layer that returns its last state
-        run = _layer_forward(layer, states.T[..., None, None],
-                             hook=hook, keep_cols=cache is not None)
+        run = _layer_forward(layer, states.T[..., None, None], keep_cols=cache is not None)
         feats.append(run.hidden(-1)[:, :, 0, 0].T)
         if cache is not None:
             cache["lstm"] = run
@@ -583,19 +571,17 @@ def _forward_batch(params, config, images, states, masks=None, cache=None, step_
     probs = ez / ez.sum(axis=1, keepdims=True)
     if cache is not None:
         cache["head"] = (feat, act, hidden, w_merge, w_out)
-        cache["probs"] = probs
     return probs
 
 
-def dpm_forward_batch(params, config, samples, masks=None, step_hook=None):
+def dpm_forward_batch(params, config, samples, masks=None):
     images, states = inputs_from_samples(config, samples)
-    return _forward_batch(params, config, images, states, masks, step_hook=step_hook)
+    return _forward_batch(params, config, images, states, masks)
 
 
-def dpm_forward(params, config, sample, masks=None, step_hook=None):
+def dpm_forward(params, config, sample, masks=None):
     """Probabilities [P(collision), P(no collision)] for one sample record."""
-    return dpm_forward_batch(params, config, np.asarray(sample)[None], masks,
-                             step_hook=step_hook)[0]
+    return dpm_forward_batch(params, config, np.asarray(sample)[None], masks)[0]
 
 
 def zero_grads(params):
@@ -623,7 +609,7 @@ def dpm_gradients(params, config, samples, labels, masks=None):
     if len(labels) != len(samples):
         raise ValueError("labels must match samples")
     images, states = inputs_from_samples(config, samples)
-    cache = {"conv": {}, "branch_shape": {}, "lstm": None, "head": None, "probs": None}
+    cache = {"conv": {}, "branch_shape": {}, "lstm": None, "head": None}
     probs = _forward_batch(params, config, images, states, masks, cache)
     b = len(samples)
     loss = float(sample_losses(probs, labels).mean())

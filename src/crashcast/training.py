@@ -54,6 +54,10 @@ class TrainConfig:
             raise ValueError("validation interval must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("Adam betas must lie in [0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("Adam epsilon must be positive")
 
 
 @dataclass

@@ -12,6 +12,9 @@ this.
 convlstm_step, convlstm_sequence and lstm_step run one sample through the
 network's ConvLSTM core. A layer is a field -> array map (`w_xi`, ...,
 `b_o`), as the core sees it.
+
+premasked gives the weights a Monte-Carlo dropout pass should apply at every
+time step; an unmasked forward on them is the mask-constancy reference.
 """
 
 import numpy as np
@@ -138,3 +141,12 @@ def lstm_step(layer, x, h_prev, c_prev):
     conv = _layer({f"lstm.{f}": w for f, w in layer.items()}, "lstm")
     h, c = convlstm_step(conv, x[None, None], h_prev[None, None], c_prev[None, None])
     return h[0, 0], c[0, 0]
+
+
+def premasked(params, masks):
+    """A copy of params with each masked tensor multiplied by its mask."""
+    out = params.copy()
+    for name, t in out.tensors().items():
+        if name in masks:
+            t *= masks[name]
+    return out

@@ -5,6 +5,7 @@ by default because it runs for roughly an hour on one core; run it with
 `pytest -m sweep`. Everything else runs in the normal suite.
 """
 
+import hashlib
 import math
 import time
 
@@ -34,7 +35,7 @@ from crashcast.stats import (
 )
 from crashcast.training import TrainConfig, evaluate, train
 
-from oracles import finite_diff_gradient
+from oracles import finite_diff_gradient, premasked
 from test_network import make_samples
 from test_stats import TABLE_ACC, TABLE_MCC, anova_ss_oracle, mcc_pearson_oracle
 
@@ -201,21 +202,18 @@ def test_criterion_6_mc_dropout_invariants():
     zero = run_sfp(params, config, sample, DropoutSpec(rate=0.0), 50, rng_seed=1)
     assert all(s == p_det for s in zero), "rate 0 must equal the deterministic pass"
 
-    import hashlib
     spec = DropoutSpec(rate=0.2)
     digests = []
     for i in range(30):
-        records = []
-
-        def hook(branch, layer_index, t, eff):
-            if branch == "dashcam" and layer_index == 0:
-                records.append(hashlib.sha256(eff["w_xi"].tobytes() + eff["w_hi"].tobytes()
-                                              + eff["w_ci"].tobytes()).hexdigest())
-
-        stochastic_forward(params, config, sample, spec, mix64(99, i), step_hook=hook)
-        assert len(records) == config.seq_len
-        assert len(set(records)) == 1, "mask must be constant across the sequence"
-        digests.append(records[0])
+        seed = mix64(99, i)
+        masks = sample_masks(spec, params, seed).masks
+        # the pre-masked weights apply unchanged at every step of the sequence
+        reference = float(dpm_forward(premasked(params, masks), config, sample)[0])
+        assert stochastic_forward(params, config, sample, spec, seed) == reference, \
+            "a pass must equal the forward on its pre-masked weights"
+        digests.append(hashlib.sha256(masks["cam.dashcam.l0.w_xi"].tobytes()
+                                      + masks["cam.dashcam.l0.w_hi"].tobytes()
+                                      + masks["cam.dashcam.l0.w_ci"].tobytes()).hexdigest())
     pairs = differing = 0
     for i in range(len(digests)):
         for j in range(i + 1, len(digests)):
@@ -233,9 +231,9 @@ def test_criterion_6_mc_dropout_invariants():
     frac = zeros / total
     se = math.sqrt(spec.rate * (1 - spec.rate) / total)
     assert abs(frac - spec.rate) <= 3 * se
-    _ok(6, f"r=0 degenerate; masks constant over {config.seq_len} steps, "
-           f"{differing}/{pairs} pass pairs differ; drop fraction {frac:.4f} "
-           f"within 3 SE of 0.2 over {total} elements")
+    _ok(6, f"r=0 degenerate; each pass equals its pre-masked forward over "
+           f"{config.seq_len} steps, {differing}/{pairs} pass pairs differ; "
+           f"drop fraction {frac:.4f} within 3 SE of 0.2 over {total} elements")
 
 
 def test_criterion_7_simulator_labels():

@@ -9,6 +9,7 @@ import pytest
 from crashcast.checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from crashcast.cli import main
 from crashcast.config import (
+    REGISTRY,
     ConfigError,
     RunConfig,
     camera_specs,
@@ -87,6 +88,17 @@ BAD_SETTINGS = [
     ("train.optimizer=foo", "'train.optimizer'"),
     ("train.patience=0", "'train.patience'"),
     ("train.max_iterations=0", "'train.max_iterations'"),
+    ("train.beta1=7", "'train.beta1'"),
+    ("train.beta1=1", "'train.beta1'"),
+    ("train.beta2=1", "'train.beta2'"),
+    ("train.beta2=-0.5", "'train.beta2'"),
+    ("train.epsilon=0", "'train.epsilon'"),
+    # non-finite values used to load: train wrote its untrained weights as the
+    # model, and gen-data failed mid-run with an error that named no key
+    ("train.learning_rate=nan", "'train.learning_rate'"),
+    ("sim.dt=nan", "'sim.dt'"),
+    ("sim.top_speed=inf", "'sim.top_speed'"),
+    ("eval.sigma_lo=-inf", "'eval.sigma_lo'"),
     ("dropout.targets=foo", "'dropout.targets'"),
     ("net.input_mode=bogus", "bad net settings"),
     ("net.conv_kernels=2", "bad net settings"),
@@ -113,6 +125,32 @@ def test_bad_value_rejected_at_parse_time(setting, names):
     assert names in str(err.value)
     if key in names:
         assert "conf.txt:1" in str(err.value)
+
+
+def _float_defaults():
+    """(key, default) for every key whose value is a float or a list of floats."""
+    out = []
+    for key in REGISTRY:
+        section, name = key.split(".")
+        default = getattr(getattr(RunConfig(), section), name)
+        items = default if isinstance(default, tuple) else (default,)
+        if all(type(v) is float for v in items):
+            out.append((key, default))
+    return out
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, default", [pytest.param(k, d, id=k) for k, d in _float_defaults()])
+def test_non_finite_float_rejected_at_parse_time(key, default, text):
+    values = [text]
+    if isinstance(default, tuple):  # one non-finite entry among valid ones, at each position
+        values = [",".join(text if j == i else repr(v) for j, v in enumerate(default))
+                  for i in range(len(default))]
+    for value in values:
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"{key} = {value}", source="conf.txt")
+        msg = str(err.value)
+        assert f"'{key}'" in msg and "conf.txt:1" in msg and "finite" in msg, msg
 
 
 def test_config_hash_stable_and_sensitive():
@@ -308,16 +346,26 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def test_cli_usage_errors_exit_1(capsys):
+def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("no-such-command") == 1
     assert run_cli("gen-data") == 1  # missing --out
-    capsys.readouterr()
+    # the fold unit is the config key eval.fold_unit, set with --set like any other
+    assert run_cli("experiment", "--data", str(tmp_path / "d.dpmd"), "--sweep", "camera",
+                   "--out", str(tmp_path / "exp"), "--fold-unit", "samples") == 1
+    assert "unrecognized arguments: --fold-unit" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):
     rc = run_cli("gen-data", "--out", str(tmp_path / "x.dpmd"), "--set", "bogus.key=1")
     assert rc == 1
     assert "bogus.key" in capsys.readouterr().err
+    conf = tmp_path / "run.conf"
+    conf.write_bytes(b"sim.dt = 0.05\n# caf\xff\n")  # not UTF-8
+    assert run_cli("gen-data", "--config", str(conf), "--out", str(tmp_path / "x.dpmd")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(conf) in err, err
+    assert list(tmp_path.iterdir()) == [conf]
 
 
 @pytest.mark.parametrize("argv", [
@@ -640,7 +688,7 @@ def test_cli_experiment_requires_meta_for_episode_folding(tmp_path, capsys):
     assert "meta" in capsys.readouterr().err
     # sample-level folding works without the sidecar
     rc = run_cli("experiment", "--data", str(data), "--sweep", "camera",
-                 "--fold-unit", "samples", "--out", str(tmp_path / "exp"), *TRAIN_FAST,
+                 "--out", str(tmp_path / "exp"), *TRAIN_FAST, "--set", "eval.fold_unit=samples",
                  "--set", "eval.fold_k=2", "--set", "train.max_iterations=2",
                  "--set", "train.validation_interval=2")
     assert rc == 0

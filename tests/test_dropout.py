@@ -10,7 +10,6 @@ import pytest
 from crashcast import dropout
 from crashcast.dropout import (
     DropoutSpec,
-    MaskSet,
     mix64,
     run_sfp,
     sample_masks,
@@ -18,6 +17,7 @@ from crashcast.dropout import (
 )
 from crashcast.network import dpm_forward, init_params
 
+from oracles import premasked
 from test_network import make_samples, tiny_config
 from test_training import _openblas_threads
 
@@ -221,34 +221,38 @@ def test_run_sfp_workers_exit_and_one_pass_stays_in_process(tmp_path, monkeypatc
         assert str(os.getpid()) not in pids and len(set(pids)) == 2
 
 
-def _mask_digests_per_step(params, config, sample, spec, seed, branch):
-    """Digest of the effective layer-0 weights of one branch observed at each step."""
-    records = []
-
-    def hook(name, layer_index, t, eff):
-        if name == branch and layer_index == 0:
-            digest = hashlib.sha256(eff["w_xi"].tobytes() + eff["w_hi"].tobytes()).hexdigest()
-            records.append((t, digest))
-
-    stochastic_forward(params, config, sample, spec, seed, step_hook=hook)
-    return records
+def _mask_digest(masks, prefix):
+    """Digest of the input and recurrent masks of one branch's first layer."""
+    return hashlib.sha256(masks[f"{prefix}.w_xi"].tobytes()
+                          + masks[f"{prefix}.w_hi"].tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("branch", ["camera", "state"])
 def test_mask_constancy_across_time_steps(branch):
+    """A pass equals, bit for bit, an unmasked forward on its pre-masked weights.
+
+    The pre-masked forward applies one set of masked weights at every step,
+    so a pass that matches it holds its masks fixed over the sequence. The
+    branch's masks must matter (the pass differs without them, unless every
+    head ReLU is dead) and differ between passes.
+    """
     config = tiny_config(seq_len=5)
     params = init_params(config, seed=9)
     rng = np.random.default_rng(11)
     sample = make_samples(rng, config, 1)[0]
     spec = DropoutSpec(rate=0.2)
-    name = config.cameras[0] if branch == "camera" else "state"
+    prefix = f"cam.{config.cameras[0]}.l0" if branch == "camera" else "lstm"
     per_pass = []
+    mattered = 0
     for i in range(30):
-        records = _mask_digests_per_step(params, config, sample, spec, mix64(77, i), name)
-        assert [t for t, _ in records] == list(range(config.seq_len))
-        digests = {d for _, d in records}
-        assert len(digests) == 1  # one mask set across all L steps of a pass
-        per_pass.append(records[0][1])
+        seed = mix64(77, i)
+        p = stochastic_forward(params, config, sample, spec, seed)
+        masks = sample_masks(spec, params, seed).masks
+        assert p == float(dpm_forward(premasked(params, masks), config, sample)[0])
+        others = {n: m for n, m in masks.items() if not n.startswith(prefix)}
+        mattered += p != float(dpm_forward(premasked(params, others), config, sample)[0])
+        per_pass.append(_mask_digest(masks, prefix))
+    assert mattered >= 27
     pairs = 0
     differing = 0
     for i in range(len(per_pass)):
@@ -280,11 +284,3 @@ def test_predictive_distribution_validation():
     params.tensors()["head.b_out"][...] = [np.inf, 0.0]
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         run_sfp(params, config, sample, spec, 2, rng_seed=1)
-
-
-def test_mask_set_records_seed():
-    config = tiny_config()
-    params = init_params(config, seed=10)
-    ms = sample_masks(DropoutSpec(rate=0.1), params, rng_seed=321)
-    assert isinstance(ms, MaskSet)
-    assert ms.seed == 321
