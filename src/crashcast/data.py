@@ -5,8 +5,7 @@ closest approach), converted to frame records carrying quantized images plus
 the 9-entry proprioceptive state vector, and cut into overlapping
 fixed-length windows that inherit the episode label. gen-data shuffles the
 windows once (assemble_dataset) and stores them in that order; split_samples
-is the one rule that cuts a stored array into train/validate/test, and
-kfold_plan the one balanced fold partition.
+is the one rule that cuts a stored array into train/validate/test.
 
 In memory a dataset is the DPMD record array itself: one numpy record per
 sample (sample_dtype), read from the file as a single view and written back
@@ -151,24 +150,6 @@ def split_samples(samples, split):
     return samples[:n_train], samples[n_train : n_train + n_val], samples[n_train + n_val :]
 
 
-def kfold_plan(n, k=10, rng_seed=0):
-    """Random balanced partition of n indices into k folds: index -> fold array."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if n < k:
-        raise ValueError(f"cannot build {k} folds from {n} items")
-    perm = np.random.default_rng(rng_seed).permutation(n)
-    assignment = np.empty(n, dtype=np.int64)
-    base = n // k
-    extra = n % k
-    pos = 0
-    for fold in range(k):
-        size = base + (1 if fold < extra else 0)
-        assignment[perm[pos : pos + size]] = fold
-        pos += size
-    return assignment
-
-
 # --- binary serialization ----------------------------------------------------
 
 def serialize_dataset(samples, path):
@@ -245,11 +226,13 @@ def write_meta(episode_ids, scenarios, window_starts, path):
 def read_meta(path, n_samples=None):
     """Returns (episode_ids, scenarios) arrays aligned with sample indices.
 
-    A missing header, a short row or a non-integer field raises ValueError
-    naming the file and line, and so does a file that does not cover exactly
-    n_samples samples, when n_samples is given.
+    Text that is not UTF-8, a missing header, a short row or a non-integer
+    field raises ValueError naming the file and line, and so does a file that
+    does not cover exactly n_samples samples, when n_samples is given.
     """
-    with open(path, newline="") as fh:
+    from .report import open_utf8  # here, not at module level: loading a dataset needs no report
+
+    with open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -46,13 +46,13 @@ class NetworkConfig:
     cameras: tuple = CAMERA_ORDER
     image_rows: int = 32
     image_cols: int = 32
-    image_channels: int = 1
     seq_len: int = 5
     conv_filters: tuple = (8, 8)
     conv_kernels: tuple = (3, 3)
     conv_strides: tuple = (1, 2)
     lstm_units: int = 16
     merge_units: int = 32
+    image_channels = 1  # DPMD images are greyscale; a class constant, not a field
 
     def __post_init__(self):
         if self.input_mode not in INPUT_MODES:
@@ -64,8 +64,7 @@ class NetworkConfig:
                 raise ValueError(f"unknown camera {cam!r}")
         if self.seq_len < 1:
             raise ValueError("sequence length must be >= 1")
-        if min(self.image_rows, self.image_cols, self.image_channels,
-               self.lstm_units, self.merge_units) < 1:
+        if min(self.image_rows, self.image_cols, self.lstm_units, self.merge_units) < 1:
             raise ValueError("image dimensions and unit counts must be >= 1")
         n = len(self.conv_filters)
         if n == 0:
@@ -340,11 +339,11 @@ class _LayerRun:
 # temporary per operation costs more than the arithmetic. Each group of
 # calls is annotated with the expression it evaluates.
 
-def _layer_forward(layer, xp, stride=1, h0=None, c0=None, keep_cols=False):
-    """Runs one ConvLSTM layer (a _layer map) over a padded channels-first sequence.
+def _layer_forward(layer, xp, stride=1, keep_cols=False):
+    """Runs one ConvLSTM layer (a _layer map) from zero state over a padded
+    channels-first sequence.
 
-    xp: (c, L, B, H+2a, W+2b) with a, b = m//2, n//2; h0, c0: optional
-    (p, B, q', r') initial states, zero when omitted. keep_cols keeps the
+    xp: (c, L, B, H+2a, W+2b) with a, b = m//2, n//2. keep_cols keeps the
     input columns for a backward.
     """
     m, n, _, p = layer["w_xi"].shape
@@ -363,9 +362,7 @@ def _layer_forward(layer, xp, stride=1, h0=None, c0=None, keep_cols=False):
         col_x = None
     hs = np.zeros((p, length + 1, batch, q + 2 * a, r + 2 * b))
     cs = np.empty((p, length + 1, batch, q * r))
-    cs[:, 0] = 0.0 if c0 is None else c0.reshape(p, batch, q * r)
-    if h0 is not None:
-        hs[:, 0, :, a : a + q, b : b + r] = h0
+    cs[:, 0] = 0.0
     w_ci, w_cf, w_co = _peepholes(layer)
     w_cif = np.stack([w_ci, w_cf])
     col_h = np.empty((m * n * p, batch * q * r))
@@ -374,7 +371,7 @@ def _layer_forward(layer, xp, stride=1, h0=None, c0=None, keep_cols=False):
     mul, add = np.multiply, np.add
     for t in range(length):
         z = gates[:, :, t]
-        if t > 0 or h0 is not None:  # W_h * H(t-1) vanishes on a zero initial state
+        if t > 0:  # W_h * H(t-1) vanishes on the zero initial state
             np.matmul(wh.T, _im2col(hs[:, t], m, n, 1, q, r, col_h), out=zh)
             z += zh.reshape(z.shape)
         gif, gi, gf, gc, go = z[:2], *z
@@ -419,7 +416,6 @@ def _layer_backward(run, dh_out, grads, need_dx):
     dh4 = dh.reshape(p, batch, q, r)
     mul, add, sub = np.multiply, np.add, np.subtract
     lag = length - dh_out.shape[1]
-    h0_nonzero = bool(run.hs[:, 0].any())
     for t in range(length - 1, -1, -1):
         if t == length - 1:
             dh4[...] = dh_out[:, t - lag]
@@ -459,9 +455,8 @@ def _layer_backward(run, dh_out, grads, need_dx):
         mul(gf, w_cf, out=w2)
         add(dc, w2, out=dc)                        # ... + dz_i . w_ci + dz_f . w_cf
         dz = gates[:, :, t].reshape(4 * p, batch * q * r)
-        if t > 0 or h0_nonzero:
-            dwh += _im2col(run.hs[:, t], m, n, 1, q, r, col_h) @ dz.T
         if t > 0:
+            dwh += _im2col(run.hs[:, t], m, n, 1, q, r, col_h) @ dz.T
             np.matmul(run.wh, dz, out=dcol_h)
             dhp.fill(0.0)
             _col2im(dcol_h, dhp, m, n, 1, q, r)

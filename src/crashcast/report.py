@@ -42,6 +42,20 @@ def read_csv(path):
     return provenance, header, [fields for _lineno, fields in lines[1:] if fields]
 
 
+def open_utf8(path):
+    """The file's text as a newline="" stream, as open() would read it.
+
+    A byte sequence that is not UTF-8 raises ValueError naming file and line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"not UTF-8 text ({exc.reason}) at {path}:{line}") from None
+
+
 def read_csv_lines(path):
     """(provenance, [(line number, fields)]) of a CSV written by write_csv.
 
@@ -49,7 +63,7 @@ def read_csv_lines(path):
     """
     provenance = {}
     lines = []
-    with open(path, newline="") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 body = line[1:].strip()

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import kfold_plan
 from .dropout import mix64, sample_masks
 from .network import dpm_forward_batch, dpm_gradients, init_params, sample_losses
 from .parallel import fork_map, one_blas_thread
@@ -199,11 +198,24 @@ def evaluate(params, net_config, testset, threshold=0.5, chunk=64):
 def fold_assignment(groups, k, rng_seed=0):
     """Sample index -> fold index, keeping each group's samples in one fold.
 
-    groups holds each sample's group: its episode, or its own index, for
-    which this is kfold_plan(len(groups), k, rng_seed) itself.
+    groups holds each sample's group: its episode, or its own index. The n
+    distinct groups, in sorted order, are permuted with the seed, and the
+    permutation is cut into k runs, the first n % k of them one longer.
     """
     unique, group_of_sample = np.unique(groups, return_inverse=True)
-    return kfold_plan(len(unique), k, rng_seed)[group_of_sample]
+    n = len(unique)
+    if k < 1:
+        raise ValueError("k must be positive")
+    if n < k:
+        raise ValueError(f"cannot build {k} folds from {n} items")
+    perm = np.random.default_rng(rng_seed).permutation(n)
+    fold_of_group = np.empty(n, dtype=np.int64)
+    pos = 0
+    for fold in range(k):
+        size = n // k + (1 if fold < n % k else 0)
+        fold_of_group[perm[pos : pos + size]] = fold
+        pos += size
+    return fold_of_group[group_of_sample]
 
 
 def run_kfold(samples, folds, net_config, config, dropout_spec=None, val_fraction=0.1,

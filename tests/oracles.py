@@ -9,9 +9,10 @@ that its output is bit-identical to a naive quadruple-loop convolution that
 sums in the same order; the gradient-check and transcription oracles rely on
 this.
 
-convlstm_step, convlstm_sequence and lstm_step run one sample through the
-network's ConvLSTM core. A layer is a field -> array map (`w_xi`, ...,
-`b_o`), as the core sees it.
+convlstm_steps, convlstm_sequence and lstm_steps run one sample through the
+network's ConvLSTM core, which starts from zero state; a test that needs a
+step from a non-zero state takes the second step of a two-frame sequence.
+A layer is a field -> array map (`w_xi`, ..., `b_o`), as the core sees it.
 
 premasked gives the weights a Monte-Carlo dropout pass should apply at every
 time step; an unmasked forward on them is the mask-constancy reference.
@@ -121,26 +122,28 @@ def finite_diff_gradient(f, x, eps=1e-4):
     return grad
 
 
-def convlstm_step(layer, x, h_prev, c_prev, stride=1):
-    """One gate-equation step: x (q, r, c_in), h/c (q', r', p)."""
-    run = _layer_forward(layer, _core_input(x[None, None], layer), stride,
-                         h_prev.transpose(2, 0, 1)[:, None], c_prev.transpose(2, 0, 1)[:, None])
-    h = run.hidden(1)
-    return _channels_last(h)[0], _channels_last(run.cs[:, 1].reshape(h.shape))[0]
+def convlstm_steps(layer, xs, stride=1):
+    """The gate-equation step iterated from zero state over frames xs, each
+    (q, r, c_in): the (h, c) after each step, each (q', r', p)."""
+    run = _layer_forward(layer, _core_input(np.stack(xs)[None], layer), stride)
+    steps = []
+    for t in range(1, len(xs) + 1):
+        h = run.hidden(t)
+        steps.append((_channels_last(h)[0], _channels_last(run.cs[:, t].reshape(h.shape))[0]))
+    return steps
 
 
 def convlstm_sequence(layer, xs, stride=1, return_sequences=True):
-    """The step iterated from zero state: every hidden state, or the last one."""
-    run = _layer_forward(layer, _core_input(np.stack(xs)[None], layer), stride)
-    outs = [_channels_last(run.hidden(t))[0] for t in range(1, len(xs) + 1)]
+    """Every hidden state of convlstm_steps, or the last one."""
+    outs = [h for h, _ in convlstm_steps(layer, xs, stride)]
     return outs if return_sequences else outs[-1]
 
 
-def lstm_step(layer, x, h_prev, c_prev):
-    """Vector LSTM step: kernels (u, d) and (u, u), peepholes (u,); x (d,), h/c (u,)."""
+def lstm_steps(layer, xs):
+    """Vector LSTM steps from zero state: kernels (u, d) and (u, u), peepholes (u,);
+    each x (d,), each h, c (u,)."""
     conv = _layer({f"lstm.{f}": w for f, w in layer.items()}, "lstm")
-    h, c = convlstm_step(conv, x[None, None], h_prev[None, None], c_prev[None, None])
-    return h[0, 0], c[0, 0]
+    return [(h[0, 0], c[0, 0]) for h, c in convlstm_steps(conv, [x[None, None] for x in xs])]
 
 
 def premasked(params, masks):

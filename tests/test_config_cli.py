@@ -18,7 +18,7 @@ from crashcast.config import (
     parse_config,
     world_config,
 )
-from crashcast.network import dpm_forward, init_params
+from crashcast.network import dpm_forward, init_params, param_shapes
 from crashcast.report import read_csv, write_csv
 
 from test_network import make_samples, tiny_config
@@ -254,6 +254,7 @@ def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
         ({29: 255}, 29),
         ({24: 0}, 24),          # every layer but the last returns sequences
         ({29: 1}, 29),          # the last layer does not
+        ({15: 2}, 15),          # DPMD images have one channel
     ]
     for i, (edit, offset) in enumerate(edits):
         blob = bytearray(path.read_bytes())
@@ -268,6 +269,26 @@ def test_checkpoint_rejects_out_of_range_config_bytes(tmp_path, capsys):
         err_text = capsys.readouterr().err
         assert f"byte offset {offset}" in err_text and "Traceback" not in err_text
 
+
+
+def test_checkpoint_rejects_records_out_of_order(tmp_path, capsys):
+    config = tiny_config()
+    path = tmp_path / "m.dpmw"
+    save_checkpoint(path, config, init_params(config, seed=3))
+    clean = path.read_bytes()
+    # each record: u16 name length, name, rank, u32 dims, float64 values
+    (name0, shape0), (name1, shape1) = list(param_shapes(config).items())[:2]
+    end0 = 38 + 2 + len(name0) + 1 + 4 * len(shape0) + 8 * int(np.prod(shape0))
+    end1 = end0 + 2 + len(name1) + 1 + 4 * len(shape1) + 8 * int(np.prod(shape1))
+    swapped = clean[:38] + clean[end0:end1] + clean[38:end0] + clean[end1:]
+    bad = tmp_path / "swapped.dpmw"
+    bad.write_bytes(swapped)
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(bad)
+    assert err.value.offset == 38
+    assert run_cli("eval", "--data", str(tmp_path / "unused.dpmd"), "--model", str(bad)) == 2
+    err_text = capsys.readouterr().err
+    assert "byte offset 38" in err_text and "Traceback" not in err_text
 
 
 def test_checkpoint_rejects_non_finite_values(tmp_path, capsys):
@@ -727,13 +748,28 @@ def test_cli_anova_two_groups(tmp_path, capsys):
     ("group,value\na,1.0\na,inf\nb,3.0\nb,4.0\n", 3),
     ("group,value\na,1.0\na,x\n", 3),
     ("# seed = 1\ngroup,value\na,1.0\n\na,\n", 5),
-], ids=["empty-file", "no-value-column", "nan", "inf", "not-a-number", "after-comment-and-blank"])
+    ("group,value\na,1.0\na,2.\xff\n", 3),
+], ids=["empty-file", "no-value-column", "nan", "inf", "not-a-number", "after-comment-and-blank",
+        "not-utf8"])
 def test_cli_anova_refuses_bad_input_naming_file_and_line(tmp_path, capsys, text, line):
     folds = tmp_path / "folds.csv"
-    folds.write_text(text)
+    folds.write_bytes(text.encode("latin-1"))  # "\xff" stays one byte, which is not UTF-8
     out = tmp_path / "anova.csv"
     assert run_cli("anova", "--folds", str(folds), "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert f"{folds}:{line}" in captured.err
     assert captured.out == ""  # nothing, not even a group mean, is printed before it
     assert not out.exists()
+
+
+def test_cli_eval_refuses_non_utf8_train_csv_naming_file_and_line(tmp_path, capsys):
+    data, model = tmp_path / "d.dpmd", tmp_path / "m.dpmw"
+    assert run_cli("gen-data", "--seed", "3", "--out", str(data), *FAST_GEN) == 0
+    net = network_config(parse_config("", TRAIN_FAST[1::2]))
+    save_checkpoint(model, net, init_params(net, seed=1))
+    train_csv = tmp_path / "m.dpmw.train.csv"
+    train_csv.write_bytes(b"# seed = 4\n# caf\xff\n")
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(data), "--model", str(model), *TRAIN_FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{train_csv}:2" in err and "Traceback" not in err, err

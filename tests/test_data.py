@@ -11,7 +11,6 @@ from crashcast.data import (
     assemble_dataset,
     deserialize_dataset,
     frame_dtype,
-    kfold_plan,
     quantize_image,
     read_meta,
     sample_dtype,
@@ -148,29 +147,6 @@ def test_assemble_dataset_split_class_balance():
 def test_assemble_validates_input():
     with pytest.raises(ValueError):
         assemble_dataset([], 0)
-
-
-def test_kfold_plan_balanced_partition():
-    plan = kfold_plan(5000, k=10, rng_seed=5)
-    sizes = [int((plan == f).sum()) for f in range(10)]
-    assert sizes == [500] * 10
-    plan = kfold_plan(10, k=10, rng_seed=6)
-    assert [int((plan == f).sum()) for f in range(10)] == [1] * 10
-    plan = kfold_plan(23, k=5, rng_seed=7)
-    sizes = [int((plan == f).sum()) for f in range(5)]
-    assert max(sizes) - min(sizes) <= 1
-    all_idx = np.concatenate([np.nonzero(plan == f)[0] for f in range(5)])
-    assert sorted(all_idx.tolist()) == list(range(23))
-    with pytest.raises(ValueError):
-        kfold_plan(9, k=10)
-
-
-def test_kfold_plan_deterministic():
-    a = kfold_plan(100, 10, rng_seed=8)
-    b = kfold_plan(100, 10, rng_seed=8)
-    assert (a == b).all()
-    c = kfold_plan(100, 10, rng_seed=9)
-    assert not (a == c).all()
 
 
 def test_serialize_round_trip_bit_exact(tmp_path):
@@ -321,12 +297,13 @@ def test_meta_sidecar_round_trip(tmp_path):
     ("", 1),
     ("sample_index,episode_id,scenario,window_start\n0,0,1,0\n1,0\n", 3),
     ("sample_index,episode_id,scenario,window_start\n0,zero,1,0\n", 2),
-], ids=["empty", "short-row", "non-integer"])
+    ("sample_index,episode_id,scenario,window_start\n0,0,1,\xff\n", 2),
+], ids=["empty", "short-row", "non-integer", "not-utf8"])
 def test_bad_meta_sidecar_names_file_and_line(tmp_path, capsys, text, line):
     data = tmp_path / "d.dpmd"
     serialize_dataset(fake_samples(np.random.default_rng(15), 2), data)
     meta = tmp_path / "d.dpmd.meta.csv"
-    meta.write_text(text)
+    meta.write_bytes(text.encode("latin-1"))  # "\xff" stays one byte, which is not UTF-8
     with pytest.raises(ValueError) as err:
         read_meta(meta)
     assert f"{meta}:{line}" in str(err.value)

@@ -16,7 +16,7 @@ from crashcast.network import (
     sigmoid,
     zero_grads,
 )
-from oracles import convlstm_sequence, convlstm_step, lstm_step
+from oracles import convlstm_sequence, convlstm_steps, lstm_steps
 
 
 def make_conv_layer(rng, c_in=1, p=2, k=3, q=4, r=4, stride=1, scale=0.3):
@@ -70,7 +70,7 @@ def test_step_all_zero_parameters():
     rng = np.random.default_rng(0)
     layer = zeroed(make_conv_layer(rng))
     x = rng.standard_normal((4, 4, 1))
-    h, c = convlstm_step(layer, x, np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
+    [(h, c)] = convlstm_steps(layer, [x])
     # sigma(0) = 0.5 gates on a zero cell: everything stays zero
     assert (h == 0.0).all() and (c == 0.0).all()
 
@@ -81,40 +81,43 @@ def test_step_gate_saturation_closed_form():
     layer["b_i"][...] = 20.0
     layer["b_o"][...] = 20.0
     x = rng.standard_normal((4, 4, 1))
-    zero = np.zeros((4, 4, 1))
-    h, c = convlstm_step(layer, x, zero, zero)
+    [(h, c)] = convlstm_steps(layer, [x])
     assert np.allclose(c, 0.0, atol=1e-8) and np.allclose(h, 0.0, atol=1e-8)
     # with an identity cell kernel the saturated gates pass tanh(x) straight through
     layer["w_xc"][...] = 1.0
-    h, c = convlstm_step(layer, x, zero, zero)
+    [(h, c)] = convlstm_steps(layer, [x])
     assert np.allclose(c, np.tanh(x), atol=1e-7)
     assert np.allclose(h, np.tanh(np.tanh(x)), atol=1e-7)
+
+
+def two_steps(rng, layer, shape, stride=1):
+    """Two frames and the core's (h, c) after each; step 2 starts from a non-zero state."""
+    xs = list(rng.standard_normal((2, *shape)))
+    steps = convlstm_steps(layer, xs, stride)
+    h1, c1 = steps[0]
+    assert np.abs(h1).max() > 0.05 and np.abs(c1).max() > 0.05
+    return xs, steps
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_step_matches_transcription_oracle(stride):
     rng = np.random.default_rng(2 + stride)
     layer = make_conv_layer(rng, c_in=2, p=2, q=4, r=4, stride=stride)
-    oq = -(-4 // stride)
-    x = rng.standard_normal((4, 4, 2))
-    h0 = rng.standard_normal((oq, oq, 2)) * 0.5
-    c0 = rng.standard_normal((oq, oq, 2)) * 0.5
-    h, c = convlstm_step(layer, x, h0, c0, stride)
-    h_ref, c_ref = step_transcribed(layer, x, h0, c0, stride)
-    assert np.max(np.abs(h - h_ref)) <= 1e-12
-    assert np.max(np.abs(c - c_ref)) <= 1e-12
+    (x1, x2), [(h1, c1), (h2, c2)] = two_steps(rng, layer, (4, 4, 2), stride)
+    zero = np.zeros_like(h1)
+    for (h, c), (h_ref, c_ref) in (((h1, c1), step_transcribed(layer, x1, zero, zero, stride)),
+                                   ((h2, c2), step_transcribed(layer, x2, h1, c1, stride))):
+        assert np.max(np.abs(h - h_ref)) <= 1e-12
+        assert np.max(np.abs(c - c_ref)) <= 1e-12
 
 
 def test_output_gate_peeks_at_new_cell_state():
     # regression pin: using C(t-1) in the O gate must change the output
     rng = np.random.default_rng(5)
     layer = make_conv_layer(rng, c_in=1, p=2)
-    x = rng.standard_normal((4, 4, 1))
-    h0 = rng.standard_normal((4, 4, 2)) * 0.5
-    c0 = rng.standard_normal((4, 4, 2)) * 0.5
-    h, _ = convlstm_step(layer, x, h0, c0)
-    h_wrong, _ = step_transcribed(layer, x, h0, c0, o_gate_uses_new_cell=False)
-    assert np.max(np.abs(h - h_wrong)) > 1e-6
+    (_, x2), [(h1, c1), (h2, _)] = two_steps(rng, layer, (4, 4, 1))
+    h_wrong, _ = step_transcribed(layer, x2, h1, c1, o_gate_uses_new_cell=False)
+    assert np.max(np.abs(h2 - h_wrong)) > 1e-6
 
 
 def test_sequence_single_step_and_zero_weights():
@@ -122,7 +125,7 @@ def test_sequence_single_step_and_zero_weights():
     layer = make_conv_layer(rng, c_in=1, p=2)
     x = rng.standard_normal((4, 4, 1))
     single = convlstm_sequence(layer, [x], return_sequences=False)
-    h_ref, _ = convlstm_step(layer, x, np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
+    h_ref, _ = step_transcribed(layer, x, np.zeros((4, 4, 2)), np.zeros((4, 4, 2)))
     assert np.allclose(single, h_ref, atol=1e-14)
     zeroed(layer)
     out = convlstm_sequence(layer, [rng.standard_normal((4, 4, 1)) for _ in range(4)],
@@ -140,17 +143,17 @@ def test_sequence_matches_step_replay():
     h = np.zeros((4, 4, 2))
     c = np.zeros((4, 4, 2))
     for t, x in enumerate(xs):
-        h, c = convlstm_step(layer, x, h, c)
+        h, c = step_transcribed(layer, x, h, c)
         assert np.allclose(outs[t], h, atol=1e-13)
 
 
 def test_lstm_zero_weights_and_shape_errors():
     rng = np.random.default_rng(9)
     layer = zeroed(make_lstm_layer(rng))
-    h, c = lstm_step(layer, np.zeros(3), np.zeros(4), np.zeros(4))
+    [(h, c)] = lstm_steps(layer, [np.zeros(3)])
     assert (h == 0.0).all() and (c == 0.0).all()
     with pytest.raises(ValueError):
-        lstm_step(layer, np.zeros(5), np.zeros(4), np.zeros(4))
+        lstm_steps(layer, [np.zeros(5)])
 
 
 def test_lstm_degenerates_from_convlstm():
@@ -165,29 +168,31 @@ def test_lstm_degenerates_from_convlstm():
         conv[f"b_{g}"] = vec[f"b_{g}"].copy()
     for g in "ifo":
         conv[f"w_c{g}"] = vec[f"w_c{g}"].reshape(1, 1, u)
-    x = rng.standard_normal(d)
-    h0 = rng.standard_normal(u) * 0.3
-    c0 = rng.standard_normal(u) * 0.3
-    h_vec, c_vec = lstm_step(vec, x, h0, c0)
-    h_conv, c_conv = convlstm_step(conv, x.reshape(1, 1, d), h0.reshape(1, 1, u), c0.reshape(1, 1, u))
-    assert np.max(np.abs(h_conv[0, 0] - h_vec)) <= 1e-12
-    assert np.max(np.abs(c_conv[0, 0] - c_vec)) <= 1e-12
+    xs = list(rng.standard_normal((2, d)))
+    # step 2 runs from the non-zero state step 1 leaves
+    for (h_vec, c_vec), (h_conv, c_conv) in zip(
+            lstm_steps(vec, xs), convlstm_steps(conv, [x.reshape(1, 1, d) for x in xs])):
+        assert np.max(np.abs(h_conv[0, 0] - h_vec)) <= 1e-12
+        assert np.max(np.abs(c_conv[0, 0] - c_vec)) <= 1e-12
 
 
 def test_lstm_matches_transcription_oracle():
     rng = np.random.default_rng(11)
     w = make_lstm_layer(rng)
-    x = rng.standard_normal(3)
-    h0 = rng.standard_normal(4) * 0.3
-    c0 = rng.standard_normal(4) * 0.3
-    gi = sigmoid(w["w_xi"] @ x + w["w_hi"] @ h0 + w["w_ci"] * c0 + w["b_i"])
-    gf = sigmoid(w["w_xf"] @ x + w["w_hf"] @ h0 + w["w_cf"] * c0 + w["b_f"])
-    c_ref = gf * c0 + gi * np.tanh(w["w_xc"] @ x + w["w_hc"] @ h0 + w["b_c"])
-    go = sigmoid(w["w_xo"] @ x + w["w_ho"] @ h0 + w["w_co"] * c_ref + w["b_o"])
-    h_ref = go * np.tanh(c_ref)
-    h, c = lstm_step(w, x, h0, c0)
-    assert np.allclose(h, h_ref, atol=1e-12)
-    assert np.allclose(c, c_ref, atol=1e-12)
+    xs = list(rng.standard_normal((2, 3)))
+    steps = lstm_steps(w, xs)
+    assert np.abs(steps[0][0]).max() > 0.05 and np.abs(steps[0][1]).max() > 0.05
+    h_prev, c_prev = np.zeros(4), np.zeros(4)
+    # step 1 from zero state, step 2 from the non-zero state step 1 leaves
+    for x, (h, c) in zip(xs, steps):
+        gi = sigmoid(w["w_xi"] @ x + w["w_hi"] @ h_prev + w["w_ci"] * c_prev + w["b_i"])
+        gf = sigmoid(w["w_xf"] @ x + w["w_hf"] @ h_prev + w["w_cf"] * c_prev + w["b_f"])
+        c_ref = gf * c_prev + gi * np.tanh(w["w_xc"] @ x + w["w_hc"] @ h_prev + w["b_c"])
+        go = sigmoid(w["w_xo"] @ x + w["w_ho"] @ h_prev + w["w_co"] * c_ref + w["b_o"])
+        h_ref = go * np.tanh(c_ref)
+        assert np.allclose(h, h_ref, atol=1e-12)
+        assert np.allclose(c, c_ref, atol=1e-12)
+        h_prev, c_prev = h, c
 
 
 # --- full network -------------------------------------------------------------

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from crashcast import parallel, training
-from crashcast.data import kfold_plan
 from crashcast.network import init_params, sample_losses
 from crashcast.report import read_csv
 from crashcast.stats import ConfusionCounts
@@ -289,10 +288,37 @@ def test_fold_assignment_disjoint_and_episode_coherent():
     assert sizes.sum() == 24 and max(sizes) - min(sizes) <= 1
 
 
+def test_fold_assignment_balanced_partition():
+    plan = fold_assignment(np.arange(5000), k=10, rng_seed=5)
+    sizes = [int((plan == f).sum()) for f in range(10)]
+    assert sizes == [500] * 10
+    plan = fold_assignment(np.arange(10), k=10, rng_seed=6)
+    assert [int((plan == f).sum()) for f in range(10)] == [1] * 10
+    plan = fold_assignment(np.arange(23), k=5, rng_seed=7)
+    sizes = [int((plan == f).sum()) for f in range(5)]
+    assert max(sizes) - min(sizes) <= 1
+    all_idx = np.concatenate([np.nonzero(plan == f)[0] for f in range(5)])
+    assert sorted(all_idx.tolist()) == list(range(23))
+    with pytest.raises(ValueError):
+        fold_assignment(np.arange(9), k=10)
+
+
+def test_fold_assignment_deterministic():
+    a = fold_assignment(np.arange(100), 10, rng_seed=8)
+    b = fold_assignment(np.arange(100), 10, rng_seed=8)
+    assert (a == b).all()
+    c = fold_assignment(np.arange(100), 10, rng_seed=9)
+    assert not (a == c).all()
+
+
 @pytest.mark.parametrize("n,k,seed", [(24, 4, 5), (23, 5, 7), (10, 10, 6), (101, 3, 0)])
 def test_fold_assignment_of_sample_indices_is_kfold_plan(n, k, seed):
-    # why folding at sample level keeps the fold plan of kfold_plan bit for bit
-    assert fold_assignment(np.arange(n), k, seed).tobytes() == kfold_plan(n, k, seed).tobytes()
+    # the k-fold plan folds.csv records: the seeded permutation of the n
+    # indices cut into k runs, the first n % k of them one longer
+    perm = np.random.default_rng(seed).permutation(n)
+    plan = np.empty(n, dtype=np.int64)
+    plan[perm] = np.repeat(np.arange(k), [n // k + (f < n % k) for f in range(k)])
+    assert fold_assignment(np.arange(n), k, seed).tobytes() == plan.tobytes()
 
 
 def test_run_kfold_smoke_and_aggregation():
