@@ -63,6 +63,12 @@ class SimSettings:
     cameras: tuple = CAMERA_ORDER
 
     def __post_init__(self):
+        for name in ("max_duration", "top_speed", "max_accel", "start_distance",
+                     "vehicle_length", "vehicle_width", "vehicle_height"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.delay_window < 0:
+            raise ValueError("delay window must be >= 0")
         if self.episodes_per_scenario < 0:
             raise ValueError("episodes per scenario must be >= 0")
         # a repeated scenario would draw the same delays and duplicate its windows
@@ -87,6 +93,8 @@ class DataSettings:
     def __post_init__(self):
         if self.seq_len < 1 or self.window_stride < 1:
             raise ValueError("window length and stride must be >= 1")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
         if len(self.split) != 3 or min(self.split) < 0 or abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split must be three non-negative fractions summing to 1")
 

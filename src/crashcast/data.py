@@ -74,9 +74,16 @@ class Dataset:
     cols: int
 
 
-def quantize_image(img):
-    """Map a float image in [0, 1] to storage bytes."""
-    return np.clip(np.rint(np.asarray(img) * 255.0), 0, 255).astype(np.uint8)
+def quantize_image(img, out=None):
+    """Map a float image in [0, 1] to storage bytes.
+
+    The scaled values are rounded and clipped in `out`, a float64 array of
+    img's shape that may be img itself, or else in one new array.
+    """
+    q = np.multiply(img, 255.0, out=out)
+    np.rint(q, out=q)
+    np.clip(q, 0, 255, out=q)
+    return q.astype(np.uint8)
 
 
 def truncate_episode(episode, horizon=5.0):
@@ -88,9 +95,11 @@ def truncate_episode(episode, horizon=5.0):
     rows, cols = kept[0].images[cameras[0]].shape[:2]
     frames = np.recarray(len(kept), frame_dtype(len(cameras), rows, cols))
     images, state = frames.images, frames.state
+    window = np.empty((len(kept), rows, cols))  # each camera's window in turn
+    for ci, cam in enumerate(cameras):
+        np.stack([f.images[cam][:, :, 0] for f in kept], out=window)
+        images[:, ci] = quantize_image(window, out=window)
     for i, f in enumerate(kept):
-        for ci, cam in enumerate(cameras):
-            images[i, ci] = quantize_image(f.images[cam][:, :, 0])
         s = f.sensor
         state[i] = (*DASHCAM_MOUNT, s.x, s.y, 0.0, s.speed, s.torque_cmd, float(s.accelerator))
     frames.action = [f.action for f in kept]

@@ -11,13 +11,17 @@ of four scenarios:
     4  head-on in the sensor's own lane (always a collision)
 
 Vehicles are oriented rectangles; collision is strict-overlap SAT, so
-edge-touching does not count. Cameras are pinhole projections rendered by
-ray casting: the other vehicle is a box of intensity 1.0, the ground plane
-0.25, the sky 0.0. Each camera's pixel grid is built once and cached.
+edge-touching does not count (pairs too far apart to touch skip it). Cameras
+are pinhole projections rendered by ray casting with the ray-box slab test:
+the other vehicle is a box of intensity 1.0, the ground plane 0.25, the sky
+0.0. Each camera's pixel grid is built once and cached, with the z slab
+bounds of each pixel row, which no frame changes.
 
 An episode runs its physics first; the event time (collision, or closest
 approach) then fixes which frames are rendered. `gen-data` keeps only the
-`data.horizon` seconds before the event, and renders only those frames.
+`data.horizon` seconds before the event, and renders only those frames: each
+camera's window in one `render_camera` call, in blocks of frames small
+enough to stay in cache.
 """
 
 import functools
@@ -106,7 +110,7 @@ class ScenarioSpec:
 @dataclass
 class SimFrame:
     t: float
-    images: dict            # camera name -> (rows, cols, 1) array in [0, 1]
+    images: dict            # camera name -> (rows, cols, 1) view of its window, in [0, 1]
     sensor: VehicleState
     action: int
 
@@ -125,6 +129,7 @@ def _snap(v):
     return v
 
 
+@functools.lru_cache(maxsize=256)
 def _unit(heading):
     """cos/sin with snapping so axis-aligned headings are exactly axis-aligned."""
     return _snap(math.cos(heading)), _snap(math.sin(heading))
@@ -138,7 +143,8 @@ def _step_vehicle(v, dt, world):
     # trapezoid of old/new speed: exact for piecewise-constant acceleration
     dist = 0.5 * (v.speed + new_speed) * dt
     c, s = _unit(v.heading)
-    return replace(v, x=v.x + dist * c, y=v.y + dist * s, speed=new_speed)
+    return VehicleState(v.x + dist * c, v.y + dist * s, v.heading, new_speed, v.torque_cmd,
+                        v.accelerator, v.length, v.width)
 
 
 def step_world(state, dt, world=WorldConfig()):
@@ -159,7 +165,14 @@ def _corners(v):
 
 
 def detect_collision(a, b):
-    """Strict-overlap separating-axis test on the two oriented rectangles."""
+    """Strict-overlap separating-axis test on the two oriented rectangles.
+
+    Centres farther apart along x or y than the sum of the half-diagonals
+    (plus 1e-6, far above the corners' rounding) cannot overlap: no SAT.
+    """
+    reach = 0.5 * (math.hypot(a.length, a.width) + math.hypot(b.length, b.width)) + 1e-6
+    if abs(a.x - b.x) > reach or abs(a.y - b.y) > reach:
+        return False
     pa, pb = _corners(a), _corners(b)
     for poly in (pa, pb):
         for i in range(4):
@@ -173,63 +186,77 @@ def detect_collision(a, b):
     return True
 
 
-@functools.lru_cache(maxsize=64)
-def _camera_rays(cam):
-    """Per-camera constants of `render_camera`, built once per CameraSpec.
+# Pixels per frame block in `render_camera`: a whole window's temporaries
+# overflow a 2 MB L2 cache, 8 frames of 32x32 stay inside it.
+RENDER_BLOCK_PIXELS = 8192
 
-    Returns the focal length in pixels, the (rows, cols) pixel-centre offsets
-    uu (left-positive) and vv (up-positive), and the mask of rays that point
-    below the horizon. The arrays are shared by every call, so read-only.
+
+@functools.lru_cache(maxsize=64)
+def _camera_rays(cam, height):
+    """Per-camera constants of `render_camera`, built once per CameraSpec and box height.
+
+    Returns the focal length in pixels, the (cols,) pixel-centre offsets u
+    (left-positive), the (rows, 1) mask of rays below the horizon, and the
+    (rows, 1) distances where each row's rays enter and leave the z slab
+    [0, height], which no frame changes. The arrays are shared, so read-only.
     """
     focal = (cam.cols / 2.0) / math.tan(cam.fov / 2.0)
-    u = cam.cols / 2.0 - (np.arange(cam.cols) + 0.5)        # left-positive
-    v = cam.rows / 2.0 - (np.arange(cam.rows) + 0.5)        # up-positive
-    uu, vv = np.meshgrid(u, v)
-    below = vv < 0
-    for arr in (uu, vv, below):
+    u = cam.cols / 2.0 - (np.arange(cam.cols) + 0.5)                # left-positive
+    v = (cam.rows / 2.0 - (np.arange(cam.rows) + 0.5))[:, None]     # up-positive
+    d = np.where(v == 0.0, 1e-300, v)
+    t1 = (0.0 - cam.mount[2]) / d
+    t2 = (height - cam.mount[2]) / d
+    rays = (u, v < 0, np.minimum(t1, t2), np.maximum(t1, t2))
+    for arr in rays:
         arr.flags.writeable = False
-    return focal, uu, vv, below
+    return (focal, *rays)
 
 
-def render_camera(sensor, other, cam, world=WorldConfig()):
-    """Ray-cast one camera view; returns a (rows, cols, 1) image in [0, 1]."""
-    ch, sh = _unit(sensor.heading)
-    px = sensor.x + cam.mount[0] * ch - cam.mount[1] * sh
-    py = sensor.y + cam.mount[0] * sh + cam.mount[1] * ch
-    pz = cam.mount[2]
-    cc, sc = _unit(sensor.heading - cam.yaw_offset)
+def render_camera(sensors, others, cam, world=WorldConfig()):
+    """Ray-cast one camera over a window; returns (F, rows, cols, 1) images in [0, 1].
 
-    focal, uu, dz, below = _camera_rays(cam)
-    dx = focal * cc - uu * sc
-    dy = focal * sc + uu * cc
+    Frame i views the box of others[i] from sensors[i]. A ray's ground-plane
+    direction depends only on its pixel column, so the x and y slabs are
+    solved per (frame, column) from per-frame Python-float scalars; they meet
+    each row's cached z slab in blocks of RENDER_BLOCK_PIXELS pixels (at
+    least one frame). min and max are exact, so no order of the slabs
+    changes a pixel.
+    """
+    focal, u, below, z_near, z_far = _camera_rays(cam, world.vehicle_height)
+    scalars = []
+    for s, o in zip(sensors, others):
+        ch, sh = _unit(s.heading)
+        px = s.x + cam.mount[0] * ch - cam.mount[1] * sh
+        py = s.y + cam.mount[0] * sh + cam.mount[1] * ch
+        cb, sb = _unit(o.heading)
+        # ray origin in the box frame (x along the vehicle)
+        ox = (px - o.x) * cb + (py - o.y) * sb
+        oy = -(px - o.x) * sb + (py - o.y) * cb
+        scalars.append((*_unit(s.heading - cam.yaw_offset), cb, sb, ox, oy,
+                        o.length / 2.0, o.width / 2.0))
+    cc, sc, cb, sb, ox, oy, hl, hw = np.array(scalars).reshape(-1, 8).T[:, :, None, None]
 
-    img = np.zeros((cam.rows, cam.cols))
-    img[below] = world.ground_intensity
+    dx = focal * cc - u * sc                # (F, 1, cols)
+    dy = focal * sc + u * cc
+    bdx = dx * cb + dy * sb
+    bdy = -dx * sb + dy * cb
+    xy_near, xy_far = -np.inf, np.inf
+    for o, d, half in ((ox, bdx, hl), (oy, bdy, hw)):
+        d = np.where(d == 0.0, 1e-300, d)
+        t1 = (-half - o) / d
+        t2 = (half - o) / d
+        xy_near = np.maximum(xy_near, np.minimum(t1, t2))
+        xy_far = np.minimum(xy_far, np.maximum(t1, t2))
 
-    if other is not None:
-        cb, sb = _unit(other.heading)
-        # ray origin and direction in the box frame (x along the vehicle)
-        ox = (px - other.x) * cb + (py - other.y) * sb
-        oy = -(px - other.x) * sb + (py - other.y) * cb
-        oz = pz
-        bdx = dx * cb + dy * sb
-        bdy = -dx * sb + dy * cb
-        bdz = dz
-        t_near = np.full(dx.shape, -np.inf)
-        t_far = np.full(dx.shape, np.inf)
-        for o, d, lo, hi in (
-            (ox, bdx, -other.length / 2.0, other.length / 2.0),
-            (oy, bdy, -other.width / 2.0, other.width / 2.0),
-            (oz, bdz, 0.0, world.vehicle_height),
-        ):
-            d = np.where(d == 0.0, 1e-300, d)
-            t1 = (lo - o) / d
-            t2 = (hi - o) / d
-            t_near = np.maximum(t_near, np.minimum(t1, t2))
-            t_far = np.minimum(t_far, np.maximum(t1, t2))
-        hit = (t_near <= t_far) & (t_near > 0.0)
-        img[hit] = world.vehicle_intensity
-    return img[:, :, None]
+    img = np.empty((len(scalars), cam.rows, cam.cols))
+    img[:] = np.where(below, world.ground_intensity, 0.0)
+    step = max(1, RENDER_BLOCK_PIXELS // (cam.rows * cam.cols))
+    for i in range(0, len(img), step):
+        t_near = np.maximum(z_near, xy_near[i:i + step])
+        t_far = np.minimum(z_far, xy_far[i:i + step])
+        np.copyto(img[i:i + step], world.vehicle_intensity,
+                  where=(t_near <= t_far) & (t_near > 0.0))
+    return img[..., None]
 
 
 def scenario_start_states(scenario_id, world=WorldConfig()):
@@ -280,7 +307,8 @@ def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
     for k in range(n_steps + 1):
         t = k * spec.dt
         go = 1 if t + 1e-12 >= spec.delay else 0
-        sensor = replace(sensor, accelerator=go)
+        if sensor.accelerator != go:
+            sensor = replace(sensor, accelerator=go)
         states.append((t, sensor, other, go))
         if detect_collision(sensor, other):
             label = 1
@@ -294,9 +322,12 @@ def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
     if horizon is not None:
         states = [s for s in states if in_window(s[0], event_time, horizon)]
     # step_world returns new states, so a frame's sensor is never mutated later
-    frames = [SimFrame(t=t, images={cam.name: render_camera(s, o, cam, world) for cam in cams},
+    sensors = [s for _t, s, _o, _go in states]
+    others = [o for _t, _s, o, _go in states]
+    windows = {cam.name: render_camera(sensors, others, cam, world) for cam in cams}
+    frames = [SimFrame(t=t, images={name: w[i] for name, w in windows.items()},
                        sensor=s, action=go)
-              for t, s, o, go in states]
+              for i, (t, s, _o, go) in enumerate(states)]
     return Episode(frames=frames, label=label, event_time=event_time)
 
 

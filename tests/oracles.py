@@ -16,11 +16,18 @@ A layer is a field -> array map (`w_xi`, ..., `b_o`), as the core sees it.
 
 premasked gives the weights a Monte-Carlo dropout pass should apply at every
 time step; an unmasked forward on them is the mask-constancy reference.
+
+render_frame ray-casts one frame over its full pixel grid, and sat_collision
+runs the separating-axis test with no early exit; the simulator's window
+renderer and its collision test must equal them.
 """
+
+import math
 
 import numpy as np
 
 from crashcast.network import _channels_last, _core_input, _layer, _layer_forward, sigmoid
+from crashcast.sim import _corners, _unit
 
 
 def _as_f64(x):
@@ -153,3 +160,62 @@ def premasked(params, masks):
         if name in masks:
             t *= masks[name]
     return out
+
+
+def render_frame(sensor, other, cam, world):
+    """Ray-cast one camera view; returns a (rows, cols, 1) image in [0, 1]."""
+    ch, sh = _unit(sensor.heading)
+    px = sensor.x + cam.mount[0] * ch - cam.mount[1] * sh
+    py = sensor.y + cam.mount[0] * sh + cam.mount[1] * ch
+    pz = cam.mount[2]
+    cc, sc = _unit(sensor.heading - cam.yaw_offset)
+
+    focal = (cam.cols / 2.0) / math.tan(cam.fov / 2.0)
+    u = cam.cols / 2.0 - (np.arange(cam.cols) + 0.5)        # left-positive
+    v = cam.rows / 2.0 - (np.arange(cam.rows) + 0.5)        # up-positive
+    uu, dz = np.meshgrid(u, v)
+    dx = focal * cc - uu * sc
+    dy = focal * sc + uu * cc
+
+    img = np.zeros((cam.rows, cam.cols))
+    img[dz < 0] = world.ground_intensity
+
+    if other is not None:
+        cb, sb = _unit(other.heading)
+        # ray origin and direction in the box frame (x along the vehicle)
+        ox = (px - other.x) * cb + (py - other.y) * sb
+        oy = -(px - other.x) * sb + (py - other.y) * cb
+        oz = pz
+        bdx = dx * cb + dy * sb
+        bdy = -dx * sb + dy * cb
+        bdz = dz
+        t_near = np.full(dx.shape, -np.inf)
+        t_far = np.full(dx.shape, np.inf)
+        for o, d, lo, hi in (
+            (ox, bdx, -other.length / 2.0, other.length / 2.0),
+            (oy, bdy, -other.width / 2.0, other.width / 2.0),
+            (oz, bdz, 0.0, world.vehicle_height),
+        ):
+            d = np.where(d == 0.0, 1e-300, d)
+            t1 = (lo - o) / d
+            t2 = (hi - o) / d
+            t_near = np.maximum(t_near, np.minimum(t1, t2))
+            t_far = np.minimum(t_far, np.maximum(t1, t2))
+        hit = (t_near <= t_far) & (t_near > 0.0)
+        img[hit] = world.vehicle_intensity
+    return img[:, :, None]
+
+
+def sat_collision(a, b):
+    """Strict-overlap separating-axis test on two oriented rectangles, every axis tried."""
+    pa, pb = _corners(a), _corners(b)
+    for poly in (pa, pb):
+        for i in range(4):
+            ex = poly[(i + 1) % 4][0] - poly[i][0]
+            ey = poly[(i + 1) % 4][1] - poly[i][1]
+            ax, ay = -ey, ex
+            d1 = [p[0] * ax + p[1] * ay for p in pa]
+            d2 = [p[0] * ax + p[1] * ay for p in pb]
+            if max(d1) <= min(d2) or max(d2) <= min(d1):
+                return False
+    return True

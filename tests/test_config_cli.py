@@ -114,6 +114,17 @@ BAD_SETTINGS = [
     ("eval.bins=0", "'eval.bins'"),
     ("eval.val_fraction=1.0", "'eval.val_fraction'"),
     ("eval.threshold=7", "'eval.threshold'"),
+    # each used to exit 2 after the delay bisection or the simulation had run,
+    # mostly naming no key; a negative vehicle height wrote a dataset
+    ("sim.delay_window=-1", "'sim.delay_window'"),
+    ("data.horizon=-1", "'data.horizon'"),
+    ("sim.max_duration=-1", "'sim.max_duration'"),
+    ("sim.top_speed=0", "'sim.top_speed'"),
+    ("sim.max_accel=-1", "'sim.max_accel'"),
+    ("sim.vehicle_length=-1", "'sim.vehicle_length'"),
+    ("sim.vehicle_width=0", "'sim.vehicle_width'"),
+    ("sim.vehicle_height=-1", "'sim.vehicle_height'"),
+    ("sim.start_distance=-5", "'sim.start_distance'"),
 ]
 
 

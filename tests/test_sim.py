@@ -2,12 +2,15 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import render_frame, sat_collision
 
 from crashcast.data import truncate_episode
 from crashcast.sim import (
+    RENDER_BLOCK_PIXELS,
     CameraSpec,
     Episode,
     ScenarioSpec,
@@ -94,7 +97,7 @@ def test_render_empty_frustum_has_no_vehicle_pixels():
     cam = default_cameras()[1]
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     behind = VehicleState(0.0, -100.0, math.pi / 2)
-    img = render_camera(sensor, behind, cam)[:, :, 0]
+    img = render_camera([sensor], [behind], cam)[0][:, :, 0]
     assert not (img == 1.0).any()
     # ground fills the lower half, sky the upper half
     assert (img[16:, :] == 0.25).all()
@@ -105,7 +108,7 @@ def test_render_dead_ahead_blob_is_centred():
     cam = default_cameras()[1]
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     other = VehicleState(0.0, 10.0, math.pi / 2)
-    img = render_camera(sensor, other, cam)[:, :, 0]
+    img = render_camera([sensor], [other], cam)[0][:, :, 0]
     rows, cols = np.nonzero(img == 1.0)
     assert len(cols) > 0
     assert abs(cols.mean() - (img.shape[1] - 1) / 2.0) <= 1.0
@@ -114,8 +117,8 @@ def test_render_dead_ahead_blob_is_centred():
 def test_render_values_and_determinism():
     cam = default_cameras()[0]
     sensor, other = scenario_start_states(1)
-    a = render_camera(sensor, other, cam)
-    b = render_camera(sensor, other, cam)
+    a = render_camera([sensor], [other], cam)[0]
+    b = render_camera([sensor], [other], cam)[0]
     assert (a == b).all()
     assert a.shape == (32, 32, 1)
     assert set(np.unique(a)) <= {0.0, 0.25, 1.0}
@@ -222,7 +225,7 @@ def test_render_is_pure():
     cam = default_cameras()[1]
     sensor, other = scenario_start_states(1)
     sx, ox = sensor.x, other.x
-    render_camera(sensor, other, cam)
+    render_camera([sensor], [other], cam)[0]
     assert sensor.x == sx and other.x == ox
 
 
@@ -237,14 +240,14 @@ def test_episode_records_sensor_side_only():
 
 def test_camera_rays_are_cached_read_only():
     cam = CameraSpec("dashcam", (0.5, 0.0, 1.2), 0.0, rows=5, cols=7)
-    focal, uu, vv, below = _camera_rays(cam)
-    again = _camera_rays(CameraSpec("dashcam", (0.5, 0.0, 1.2), 0.0, rows=5, cols=7))
-    assert again[1] is uu and again[3] is below
-    assert uu.shape == vv.shape == below.shape == (5, 7)
-    for arr in (uu, vv, below):
+    focal, u, below, z_near, z_far = _camera_rays(cam, 1.5)
+    again = _camera_rays(CameraSpec("dashcam", (0.5, 0.0, 1.2), 0.0, rows=5, cols=7), 1.5)
+    assert again[1] is u and again[2] is below and again[3] is z_near
+    assert u.shape == (7,) and below.shape == z_near.shape == z_far.shape == (5, 1)
+    for arr in (u, below, z_near, z_far):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
-            arr[0, 0] = 0
+            arr[...] = 0
 
 
 def _assert_same_frames(got, want):
@@ -295,3 +298,89 @@ def test_horizon_bounded_run_clamps_at_episode_start():
     # a window that holds no frame gives an empty episode, and nothing to keep
     empty = run_scenario(spec, cams, horizon=-1.0)
     assert empty.frames == [] and len(truncate_episode(empty, -1.0)) == 0
+
+
+def _episode_states(spec, to_collision=True):
+    """(sensor, other) at every frame of an episode, stepped as run_scenario steps
+    them, up to its collision by the full SAT or, if not to_collision, for the
+    whole max_duration."""
+    sensor, other = scenario_start_states(spec.scenario_id)
+    other = replace(other, accelerator=1)
+    states = []
+    for k in range(int(math.floor(spec.max_duration / spec.dt + 1e-9)) + 1):
+        sensor = replace(sensor, accelerator=1 if k * spec.dt + 1e-12 >= spec.delay else 0)
+        states.append((sensor, other))
+        if to_collision and sat_collision(sensor, other):
+            break
+        sensor, other = step_world((sensor, other), spec.dt)
+    return states
+
+
+@pytest.mark.parametrize("rows, cols", [(32, 32), (6, 6), (5, 7), (100, 100)])
+@pytest.mark.parametrize("side", [-1, 1], ids=["below_d_star", "above_d_star"])
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+def test_window_render_equals_per_frame_oracle(sid, side, rows, cols, d_star):
+    """A window rendered in blocks equals its frames ray-cast one by one, byte
+    for byte: windows of 1, block - 1, block, block + 1 and 101 frames from
+    the start of a 12 s run, and the window gen-data keeps of the episode."""
+    spec = ScenarioSpec(sid, max(0.0, d_star + 0.15 * side))
+    states = _episode_states(spec, to_collision=False)
+    kept = run_scenario(spec, horizon=5.0).frames
+    kept_states = [states[round(f.t / spec.dt)] for f in kept]
+    assert [s for s, _o in kept_states] == [f.sensor for f in kept]
+    block = max(1, RENDER_BLOCK_PIXELS // (rows * cols))
+    windows = [states[:n] for n in sorted({1, block - 1, block, block + 1, 101} - {0})]
+    assert max(map(len, windows)) == max(block + 1, 101)
+    world = WorldConfig()
+    for cam in default_cameras(rows, cols):
+        want = {id(s): render_frame(s, o, cam, world) for s, o in states}
+        for window in windows + [kept_states]:
+            got = render_camera([s for s, _o in window], [o for _s, o in window], cam, world)
+            assert got.shape == (len(window), rows, cols, 1)
+            assert got.tobytes() == np.stack([want[id(s)] for s, _o in window]).tobytes()
+
+
+def test_broad_phase_equals_full_sat_near_its_cut_off():
+    """Pairs whose centre offset along x or y lies within 1e-3 of the early-exit
+    distance, at random headings and with diagonals turned towards each other."""
+    rng = np.random.default_rng(19)
+    outcomes = []
+    for i in range(4000):
+        la, lb = rng.uniform(1.0, 6.0, 2)
+        wa, wb = rng.uniform(0.5, 3.0, 2)
+        reach = 0.5 * (math.hypot(la, wa) + math.hypot(lb, wb)) + 1e-6
+        near = reach + rng.uniform(-1e-3, 1e-3)
+        across = rng.uniform(-reach, reach) if i % 2 else rng.uniform(-1e-3, 1e-3)
+        if i % 2:
+            ha, hb = rng.uniform(-math.pi, math.pi, 2)
+        else:  # a's diagonal points along +axis, b's along -axis: the corners meet
+            ha, hb = -math.atan2(wa, la), -math.atan2(wb, lb)
+        dx, dy = (near, across) if i % 4 < 2 else (across, near)
+        turn = 0.0 if i % 4 < 2 else math.pi / 2
+        a = VehicleState(0.0, 0.0, ha + turn, length=la, width=wa)
+        b = VehicleState(dx, dy, hb + turn, length=lb, width=wb)
+        for p, q in ((a, b), (b, a)):
+            assert detect_collision(p, q) == sat_collision(p, q)
+        outcomes.append(sat_collision(a, b))
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("a, b, hit", [
+    (VehicleState(0.0, 0.0, 0.0), VehicleState(4.5, 0.0, 0.0), False),
+    (VehicleState(0.0, 0.0, 0.0), VehicleState(4.4, 0.0, 0.0), True),
+    (VehicleState(0.0, 0.0, 0.0), VehicleState(0.0, 2.0, 0.0), False),
+    (VehicleState(0.0, 0.0, 0.0), VehicleState(4.5, 2.0, 0.0), False),
+    (VehicleState(0.0, 0.0, 0.0), VehicleState(3.25, 0.0, math.pi / 2), False),
+    (VehicleState(0.0, 0.0, 0.0), VehicleState(3.2, 0.0, math.pi / 2), True),
+    (VehicleState(2.0, -40.0, math.pi / 2), VehicleState(2.0, -35.5, -math.pi / 2), False),
+    (VehicleState(2.0, -40.0, math.pi / 2), VehicleState(-0.0, -40.0, math.pi / 2), False),
+])
+def test_broad_phase_equals_full_sat_on_touching_edges(a, b, hit):
+    assert detect_collision(a, b) == detect_collision(b, a) == sat_collision(a, b) == hit
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below_d_star", "above_d_star"])
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+def test_broad_phase_equals_full_sat_on_episode_states(sid, side, d_star):
+    states = _episode_states(ScenarioSpec(sid, max(0.0, d_star + 0.15 * side)))
+    assert [detect_collision(s, o) for s, o in states] == [sat_collision(s, o) for s, o in states]
