@@ -31,7 +31,7 @@ from . import data as datamod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError
 from .dropout import mix64, run_sfp
-from .network import init_params
+from .network import INPUT_MODES, init_params
 from .parallel import fork_map
 from .report import (
     file_sha256,
@@ -41,7 +41,7 @@ from .report import (
     svg_line_chart,
     write_csv,
 )
-from .sim import ScenarioSpec, bisect_delay_threshold, run_scenario
+from .sim import CAMERA_ORDER, ScenarioSpec, bisect_delay_threshold, run_scenario
 from .stats import (
     accuracy_of,
     anova_oneway,
@@ -53,13 +53,8 @@ from .stats import (
 )
 from .training import evaluate, fold_assignment, run_kfold, train
 
-CAMERA_SWEEP = (
-    ("left_mirror", ("left_mirror",)),
-    ("dashcam", ("dashcam",)),
-    ("right_mirror", ("right_mirror",)),
-    ("all3", ("left_mirror", "dashcam", "right_mirror")),
-)
-INPUT_MODE_SWEEP = ("images_only", "images_state", "images_state_action")
+# each camera alone, then all three
+CAMERA_SWEEP = (*((cam, (cam,)) for cam in CAMERA_ORDER), ("all3", CAMERA_ORDER))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +161,7 @@ def _gen_episode(cfg, cams, world, sid, delay):
     episode = run_scenario(ScenarioSpec(sid, delay, dt=cfg.sim.dt,
                                         max_duration=cfg.sim.max_duration),
                            cams, world, cfg.data.horizon)
-    frames = datamod.truncate_episode(episode, cfg.data.horizon)
+    frames = datamod.truncate_episode(episode)
     return episode.label, datamod.windowize(frames, cfg.data.seq_len, cfg.data.window_stride,
                                             label=episode.label)
 
@@ -309,7 +304,7 @@ def cmd_eval(args, cfg):
 
 def _experiment_groups(cfg, sweep):
     if sweep == "input_mode":
-        return [(mode, cfgmod.network_config(cfg, input_mode=mode)) for mode in INPUT_MODE_SWEEP]
+        return [(mode, cfgmod.network_config(cfg, input_mode=mode)) for mode in INPUT_MODES]
     return [(name, cfgmod.network_config(cfg, input_mode="images_only", cameras=cams))
             for name, cams in CAMERA_SWEEP]
 

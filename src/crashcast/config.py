@@ -69,6 +69,8 @@ class SimSettings:
                 raise ValueError(f"{name} must be positive")
         if self.delay_window < 0:
             raise ValueError("delay window must be >= 0")
+        if self.image_size > 65535:  # DPMD stores rows and cols in u16 fields
+            raise ValueError(f"image size must be <= 65535, got {self.image_size}")
         if self.episodes_per_scenario < 0:
             raise ValueError("episodes per scenario must be >= 0")
         # a repeated scenario would draw the same delays and duplicate its windows
@@ -93,6 +95,8 @@ class DataSettings:
     def __post_init__(self):
         if self.seq_len < 1 or self.window_stride < 1:
             raise ValueError("window length and stride must be >= 1")
+        if self.seq_len > 255:  # DPMD stores the window length in a u8 field
+            raise ValueError(f"window length must be <= 255, got {self.seq_len}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
         if len(self.split) != 3 or min(self.split) < 0 or abs(sum(self.split) - 1.0) > 1e-9:

@@ -1,11 +1,12 @@
 """Episode-to-sample pipeline and the bit-exact binary dataset format.
 
-Episodes are truncated to the five seconds before the collision (or the
-closest approach), converted to frame records carrying quantized images plus
-the 9-entry proprioceptive state vector, and cut into overlapping
-fixed-length windows that inherit the episode label. gen-data shuffles the
-windows once (assemble_dataset) and stores them in that order; split_samples
-is the one rule that cuts a stored array into train/validate/test.
+The simulator renders only the `data.horizon` seconds before the collision
+(or the closest approach); truncate_episode packs that episode into frame
+records carrying quantized images plus the 9-entry proprioceptive state
+vector, and windowize cuts them into overlapping fixed-length windows that
+inherit the episode label. gen-data shuffles the windows once
+(assemble_dataset) and stores them in that order; split_samples is the one
+rule that cuts a stored array into train/validate/test.
 
 In memory a dataset is the DPMD record array itself: one numpy record per
 sample (sample_dtype), read from the file as a single view and written back
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import CAMERA_ORDER, in_window
+from .sim import CAMERA_ORDER
 
 MAGIC = b"DPMD"
 VERSION = 1
@@ -86,23 +87,19 @@ def quantize_image(img, out=None):
     return q.astype(np.uint8)
 
 
-def truncate_episode(episode, horizon=5.0):
-    """The frames within `horizon` seconds before the event, as frame records."""
-    kept = [f for f in episode.frames if in_window(f.t, episode.event_time, horizon)]
-    if not kept:
-        return np.recarray(0, frame_dtype(0, 0, 0))
-    cameras = [c for c in CAMERA_ORDER if c in kept[0].images]
-    rows, cols = kept[0].images[cameras[0]].shape[:2]
-    frames = np.recarray(len(kept), frame_dtype(len(cameras), rows, cols))
-    images, state = frames.images, frames.state
-    window = np.empty((len(kept), rows, cols))  # each camera's window in turn
+def truncate_episode(episode):
+    """The episode's frames as frame records, each camera's window quantized in turn."""
+    src = episode.frames
+    cameras = [c for c in CAMERA_ORDER if c in episode.images]
+    rows, cols = episode.images[cameras[0]].shape[1:]
+    frames = np.recarray(len(src), frame_dtype(len(cameras), rows, cols))
+    window = np.empty((len(src), rows, cols))  # the quantize buffer, reused per camera
     for ci, cam in enumerate(cameras):
-        np.stack([f.images[cam][:, :, 0] for f in kept], out=window)
-        images[:, ci] = quantize_image(window, out=window)
-    for i, f in enumerate(kept):
-        s = f.sensor
-        state[i] = (*DASHCAM_MOUNT, s.x, s.y, 0.0, s.speed, s.torque_cmd, float(s.accelerator))
-    frames.action = [f.action for f in kept]
+        frames.images[:, ci] = quantize_image(episode.images[cam], out=window)
+    frames.state[:, :3] = DASHCAM_MOUNT
+    frames.state[:, 3:] = np.column_stack([src.x, src.y, np.zeros(len(src)), src.speed,
+                                           src.torque_cmd, src.accelerator])
+    frames.action = src.action
     return frames
 
 

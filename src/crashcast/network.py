@@ -75,6 +75,15 @@ class NetworkConfig:
             raise ValueError("conv filter counts and strides must be >= 1")
         if any(k < 1 or k % 2 == 0 for k in self.conv_kernels):
             raise ValueError(f"conv kernels must be odd and >= 1, got {self.conv_kernels}")
+        # the widths of the DPMW config-block fields (u8 or u16) that store each value
+        if n > 255:
+            raise ValueError(f"at most 255 conv layers fit a checkpoint, got {n}")
+        for name, limit in (("conv_kernels", 255), ("conv_strides", 255), ("conv_filters", 65535),
+                            ("image_rows", 65535), ("image_cols", 65535), ("seq_len", 65535),
+                            ("lstm_units", 65535), ("merge_units", 65535)):
+            value = getattr(self, name)
+            if max(value if isinstance(value, tuple) else (value,)) > limit:
+                raise ValueError(f"{name} must be <= {limit} to fit a checkpoint, got {value}")
 
     @property
     def conv_return_sequences(self):

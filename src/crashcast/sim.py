@@ -18,10 +18,12 @@ the other vehicle is a box of intensity 1.0, the ground plane 0.25, the sky
 bounds of each pixel row, which no frame changes.
 
 An episode runs its physics first; the event time (collision, or closest
-approach) then fixes which frames are rendered. `gen-data` keeps only the
-`data.horizon` seconds before the event, and renders only those frames: each
-camera's window in one `render_camera` call, in blocks of frames small
-enough to stay in cache.
+approach) then fixes which frames are rendered. `run_scenario` alone decides
+that window: with a horizon, only the frames within that many seconds up to
+the event are rendered and kept, each camera's window in one `render_camera`
+call, in blocks of frames small enough to stay in cache. An episode is
+arrays: one FRAME_DTYPE record per kept frame, and each camera's window of
+images aligned with those records.
 """
 
 import functools
@@ -107,17 +109,17 @@ class ScenarioSpec:
             raise ValueError("dt must be positive")
 
 
-@dataclass
-class SimFrame:
-    t: float
-    images: dict            # camera name -> (rows, cols, 1) view of its window, in [0, 1]
-    sensor: VehicleState
-    action: int
+# One kept frame of an episode: its time and the sensor-side values the
+# dataset records (the sensor vehicle's position, speed, torque command and
+# accelerator, and the action).
+FRAME_DTYPE = np.dtype([("t", "<f8"), ("x", "<f8"), ("y", "<f8"), ("speed", "<f8"),
+                        ("torque_cmd", "<f8"), ("accelerator", "<i8"), ("action", "<i8")])
 
 
 @dataclass
 class Episode:
-    frames: list
+    frames: np.recarray     # one FRAME_DTYPE record per rendered frame
+    images: dict            # camera name -> (F, rows, cols) window in [0, 1], one image per frame
     label: int              # 1 collision, 0 no collision
     event_time: float       # collision time, or time of closest approach
 
@@ -213,7 +215,7 @@ def _camera_rays(cam, height):
 
 
 def render_camera(sensors, others, cam, world=WorldConfig()):
-    """Ray-cast one camera over a window; returns (F, rows, cols, 1) images in [0, 1].
+    """Ray-cast one camera over a window; returns (F, rows, cols) images in [0, 1].
 
     Frame i views the box of others[i] from sensors[i]. A ray's ground-plane
     direction depends only on its pixel column, so the x and y slabs are
@@ -256,7 +258,7 @@ def render_camera(sensors, others, cam, world=WorldConfig()):
         t_far = np.minimum(z_far, xy_far[i:i + step])
         np.copyto(img[i:i + step], world.vehicle_intensity,
                   where=(t_near <= t_far) & (t_near > 0.0))
-    return img[..., None]
+    return img
 
 
 def scenario_start_states(scenario_id, world=WorldConfig()):
@@ -278,24 +280,15 @@ def scenario_start_states(scenario_id, world=WorldConfig()):
     return sensor, other
 
 
-def in_window(t, event_time, horizon):
-    """Whether a frame at time t lies within `horizon` seconds up to the event.
-
-    The window is [event - horizon, event] with 1e-9 s of slack at both ends,
-    since frame times are computed as k * dt. `run_scenario` and
-    `data.truncate_episode` both keep frames by this test.
-    """
-    return event_time - horizon - 1e-9 <= t <= event_time + 1e-9
-
-
 def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
     """Simulate one episode at 1/dt Hz until collision or max duration.
 
     Both vehicles start stationary; the other vehicle is commanded to go at
     t=0, the sensor vehicle at t=delay. Frames record only sensor-side data.
     The physics runs first; the event time then fixes which frames are
-    rendered. With `horizon` set, only the frames `in_window` of the event
-    are rendered and returned; with None, every frame is.
+    rendered. With `horizon` set, only the frames in [event - horizon, event]
+    are rendered and returned, with 1e-9 s of slack at both ends since frame
+    times are computed as k * dt; with None, every frame is.
     """
     sensor, other = scenario_start_states(spec.scenario_id, world)
     other = replace(other, accelerator=1)
@@ -320,15 +313,14 @@ def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
             event_time = t
         sensor, other = step_world((sensor, other), spec.dt, world)
     if horizon is not None:
-        states = [s for s in states if in_window(s[0], event_time, horizon)]
+        states = [s for s in states if event_time - horizon - 1e-9 <= s[0] <= event_time + 1e-9]
     # step_world returns new states, so a frame's sensor is never mutated later
     sensors = [s for _t, s, _o, _go in states]
     others = [o for _t, _s, o, _go in states]
-    windows = {cam.name: render_camera(sensors, others, cam, world) for cam in cams}
-    frames = [SimFrame(t=t, images={name: w[i] for name, w in windows.items()},
-                       sensor=s, action=go)
-              for i, (t, s, _o, go) in enumerate(states)]
-    return Episode(frames=frames, label=label, event_time=event_time)
+    frames = np.array([(t, s.x, s.y, s.speed, s.torque_cmd, s.accelerator, go)
+                       for t, s, _o, go in states], dtype=FRAME_DTYPE).view(np.recarray)
+    images = {cam.name: render_camera(sensors, others, cam, world) for cam in cams}
+    return Episode(frames=frames, images=images, label=label, event_time=event_time)
 
 
 def bisect_delay_threshold(scenario_id, world=WorldConfig(), dt=0.05,

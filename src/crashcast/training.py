@@ -66,7 +66,6 @@ class TrainReport:
     stop_reason: str = "max_iters"
     final_iteration: int = 0
     best_iteration: int = 0
-    best_val_loss: float = math.nan
     wall_time: float = 0.0
 
 
@@ -135,7 +134,6 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
     if len(valset):
         best_val = _mean_val_loss(params, net_config, valset)
         report.val_losses.append((0, best_val))
-        report.best_val_loss = best_val
     checks_without_improvement = 0
 
     order = np.empty(0, dtype=np.int64)
@@ -167,7 +165,6 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
                 best_val = val
                 best_params = params.copy()
                 report.best_iteration = iteration
-                report.best_val_loss = val
                 checks_without_improvement = 0
             else:
                 checks_without_improvement += 1

@@ -20,14 +20,19 @@ time step; an unmasked forward on them is the mask-constancy reference.
 render_frame ray-casts one frame over its full pixel grid, and sat_collision
 runs the separating-axis test with no early exit; the simulator's window
 renderer and its collision test must equal them.
+
+pack_frames keeps the frames of a whole episode that lie within a horizon of
+its event and packs them one frame at a time; the simulator's horizon window
+packed by data.truncate_episode must equal it.
 """
 
 import math
 
 import numpy as np
 
+from crashcast.data import DASHCAM_MOUNT, frame_dtype, quantize_image
 from crashcast.network import _channels_last, _core_input, _layer, _layer_forward, sigmoid
-from crashcast.sim import _corners, _unit
+from crashcast.sim import CAMERA_ORDER, _corners, _unit
 
 
 def _as_f64(x):
@@ -163,7 +168,7 @@ def premasked(params, masks):
 
 
 def render_frame(sensor, other, cam, world):
-    """Ray-cast one camera view; returns a (rows, cols, 1) image in [0, 1]."""
+    """Ray-cast one camera view; returns a (rows, cols) image in [0, 1]."""
     ch, sh = _unit(sensor.heading)
     px = sensor.x + cam.mount[0] * ch - cam.mount[1] * sh
     py = sensor.y + cam.mount[0] * sh + cam.mount[1] * ch
@@ -203,7 +208,30 @@ def render_frame(sensor, other, cam, world):
             t_far = np.minimum(t_far, np.maximum(t1, t2))
         hit = (t_near <= t_far) & (t_near > 0.0)
         img[hit] = world.vehicle_intensity
-    return img[:, :, None]
+    return img
+
+
+def pack_frames(episode, horizon):
+    """Frame records of the frames within `horizon` seconds up to the episode's
+    event: each camera's images stacked frame by frame and quantized, and the
+    state vector built from one tuple per frame. A window with no frame gives
+    zero records of the dtype a non-empty one would have."""
+    lo, hi = episode.event_time - horizon - 1e-9, episode.event_time + 1e-9
+    kept = [i for i, t in enumerate(episode.frames.t) if lo <= t <= hi]
+    cameras = [c for c in CAMERA_ORDER if c in episode.images]
+    rows, cols = episode.images[cameras[0]].shape[1:]
+    frames = np.recarray(len(kept), frame_dtype(len(cameras), rows, cols))
+    if not kept:
+        return frames
+    for ci, cam in enumerate(cameras):
+        window = np.stack([episode.images[cam][i] for i in kept])
+        frames.images[:, ci] = quantize_image(window)
+    for j, i in enumerate(kept):
+        f = episode.frames[i]
+        frames.state[j] = (*DASHCAM_MOUNT, f.x, f.y, 0.0, f.speed, f.torque_cmd,
+                           float(f.accelerator))
+        frames.action[j] = f.action
+    return frames
 
 
 def sat_collision(a, b):

@@ -2,11 +2,17 @@
 
 import os
 import resource
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crashcast.checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
+from crashcast.checkpoint import (
+    CheckpointFormatError,
+    _pack_config,
+    load_checkpoint,
+    save_checkpoint,
+)
 from crashcast.cli import main
 from crashcast.config import (
     REGISTRY,
@@ -125,6 +131,15 @@ BAD_SETTINGS = [
     ("sim.vehicle_width=0", "'sim.vehicle_width'"),
     ("sim.vehicle_height=-1", "'sim.vehicle_height'"),
     ("sim.start_distance=-5", "'sim.start_distance'"),
+    # values past a DPMW or DPMD field width used to pass the parser: train ran,
+    # then died writing the checkpoint with a struct.error and exit 1
+    ("net.conv_kernels=3,257", "bad net settings: conv_kernels"),
+    ("net.conv_strides=1,256", "bad net settings: conv_strides"),
+    ("net.conv_filters=8,65536", "bad net settings: conv_filters"),
+    ("net.lstm_units=65536", "bad net settings: lstm_units"),
+    ("net.merge_units=65536", "bad net settings: merge_units"),
+    ("sim.image_size=65536", "'sim.image_size'"),
+    ("data.seq_len=256", "'data.seq_len'"),
 ]
 
 
@@ -193,6 +208,26 @@ def test_engine_conversions():
 
 
 # --- checkpoint format ---------------------------------------------------------
+
+
+def test_network_config_bounds_are_the_checkpoint_field_widths():
+    """Every value the DPMW config block stores packs at its field's bound and is
+    refused past it, naming the field, when the config is built."""
+    base = tiny_config()
+    for name, limit in (("conv_kernels", 255), ("conv_strides", 255), ("conv_filters", 65535),
+                        ("image_rows", 65535), ("image_cols", 65535), ("seq_len", 65535),
+                        ("lstm_units", 65535), ("merge_units", 65535)):
+        as_field = (lambda v: (1, v)) if isinstance(getattr(base, name), tuple) else int
+        _pack_config(replace(base, **{name: as_field(limit)}))
+        with pytest.raises(ValueError, match=name):
+            replace(base, **{name: as_field(limit + 2)})  # + 2: conv kernels must be odd
+    for n, ok in ((255, True), (256, False)):
+        layers = dict(conv_filters=(1,) * n, conv_kernels=(1,) * n, conv_strides=(1,) * n)
+        if ok:
+            _pack_config(replace(base, **layers))
+        else:
+            with pytest.raises(ValueError, match="255 conv layers"):
+                replace(base, **layers)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

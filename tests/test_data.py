@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import pack_frames
+
 from crashcast.data import (
     HEADER_SIZE,
     DatasetFormatError,
@@ -51,17 +53,18 @@ def fake_samples(rng, n, seq_len=5, cams=3, rows=4, cols=4):
 
 
 def test_truncate_keeps_five_second_window():
-    ep = run_scenario(ScenarioSpec(3, 0.6, max_duration=12.0), default_cameras(rows=4, cols=4))
-    # force a known event time at the final frame
-    ep.event_time = ep.frames[-1].t
-    assert ep.event_time == pytest.approx(12.0)
+    # the vehicles still close in at 7 s, so the closest approach is the final frame
+    ep = run_scenario(ScenarioSpec(3, 11.0, max_duration=7.0),
+                      default_cameras(rows=4, cols=4), horizon=5.0)
+    assert ep.event_time == pytest.approx(7.0)
     frames = truncate_episode(ep)
     assert len(frames) == 101  # 5 s at 20 Hz plus the boundary frame
 
 
 def test_truncate_clamps_at_episode_start():
-    ep = run_scenario(ScenarioSpec(3, 0.2, max_duration=12.0), default_cameras(rows=4, cols=4))
-    ep.event_time = 3.0
+    ep = run_scenario(ScenarioSpec(3, 0.2, max_duration=3.0),
+                      default_cameras(rows=4, cols=4), horizon=5.0)
+    assert ep.event_time == 3.0
     frames = truncate_episode(ep)
     assert len(frames) == 61  # everything from t=0
 
@@ -86,7 +89,7 @@ def test_gen_episode_equals_truncated_full_run(horizon):
     for sid, delay in ((1, 0.1), (2, 0.45), (3, 0.3), (4, 0.2)):
         label, windows = _gen_episode(cfg, cams, world, sid, delay)
         full = run_scenario(ScenarioSpec(sid, delay), cams, world)
-        want = windowize(truncate_episode(full, horizon), 5, 3, label=full.label)
+        want = windowize(pack_frames(full, horizon), 5, 3, label=full.label)
         assert label == full.label
         assert len(windows) == len(want) > 0
         assert windows.tobytes() == want.tobytes()

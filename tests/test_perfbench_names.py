@@ -62,7 +62,7 @@ def test_count_readers_read_real_calls(tmp_path):
     # as gen-data calls it, and as the delay bisection calls it (no cameras)
     episode = call("run_scenario", run_scenario, spec, cams, world, cfg.data.horizon)
     bare = call("run_scenario", run_scenario, spec, cams=(), world=world)
-    frames = call("truncate_episode", datamod.truncate_episode, episode, cfg.data.horizon)
+    frames = call("truncate_episode", datamod.truncate_episode, episode)
     samples = datamod.windowize(frames, cfg.data.seq_len, 25, label=episode.label)
     dpmd = str(tmp_path / "d.dpmd")
     call("serialize_dataset", datamod.serialize_dataset, samples, dpmd)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import render_frame, sat_collision
+from oracles import pack_frames, render_frame, sat_collision
 
 from crashcast.data import truncate_episode
 from crashcast.sim import (
@@ -97,7 +97,7 @@ def test_render_empty_frustum_has_no_vehicle_pixels():
     cam = default_cameras()[1]
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     behind = VehicleState(0.0, -100.0, math.pi / 2)
-    img = render_camera([sensor], [behind], cam)[0][:, :, 0]
+    img = render_camera([sensor], [behind], cam)[0]
     assert not (img == 1.0).any()
     # ground fills the lower half, sky the upper half
     assert (img[16:, :] == 0.25).all()
@@ -108,7 +108,7 @@ def test_render_dead_ahead_blob_is_centred():
     cam = default_cameras()[1]
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     other = VehicleState(0.0, 10.0, math.pi / 2)
-    img = render_camera([sensor], [other], cam)[0][:, :, 0]
+    img = render_camera([sensor], [other], cam)[0]
     rows, cols = np.nonzero(img == 1.0)
     assert len(cols) > 0
     assert abs(cols.mean() - (img.shape[1] - 1) / 2.0) <= 1.0
@@ -120,7 +120,7 @@ def test_render_values_and_determinism():
     a = render_camera([sensor], [other], cam)[0]
     b = render_camera([sensor], [other], cam)[0]
     assert (a == b).all()
-    assert a.shape == (32, 32, 1)
+    assert a.shape == (32, 32)
     assert set(np.unique(a)) <= {0.0, 0.25, 1.0}
 
 
@@ -143,8 +143,8 @@ def test_scenario_spec_validation():
 def test_scenario_timestamps_and_frame_budget():
     ep = run_scenario(ScenarioSpec(3, 0.7))
     assert len(ep.frames) <= 12.0 / 0.05 + 1
-    for k, frame in enumerate(ep.frames):
-        assert frame.t == k * 0.05
+    for k, t in enumerate(ep.frames.t):
+        assert t == k * 0.05
     assert ep.label == 0
 
 
@@ -195,13 +195,13 @@ def test_scenario_mirror_renders():
         ep2 = run_scenario(ScenarioSpec(2, delay), cams)
         assert len(ep1.frames) == len(ep2.frames)
         assert ep1.label == ep2.label
-        for f1, f2 in zip(ep1.frames, ep2.frames):
-            assert np.array_equal(f2.images["left_mirror"],
-                                  np.flip(f1.images["right_mirror"], axis=1))
-            assert np.array_equal(f2.images["right_mirror"],
-                                  np.flip(f1.images["left_mirror"], axis=1))
-            assert np.array_equal(f2.images["dashcam"],
-                                  np.flip(f1.images["dashcam"], axis=1))
+        # frame by frame, flipped across the image columns
+        assert np.array_equal(ep2.images["left_mirror"],
+                              np.flip(ep1.images["right_mirror"], axis=2))
+        assert np.array_equal(ep2.images["right_mirror"],
+                              np.flip(ep1.images["left_mirror"], axis=2))
+        assert np.array_equal(ep2.images["dashcam"],
+                              np.flip(ep1.images["dashcam"], axis=2))
 
 
 def test_no_collision_event_time_is_closest_approach():
@@ -233,8 +233,8 @@ def test_episode_records_sensor_side_only():
     ep = run_scenario(ScenarioSpec(1, 0.2), default_cameras(rows=4, cols=4))
     assert isinstance(ep, Episode)
     f = ep.frames[0]
-    assert set(f.images) == {"left_mirror", "dashcam", "right_mirror"}
-    assert f.sensor.y == pytest.approx(-40.0)
+    assert set(ep.images) == {"left_mirror", "dashcam", "right_mirror"}
+    assert f.y == pytest.approx(-40.0)
     assert f.action in (0, 1)
 
 
@@ -250,16 +250,13 @@ def test_camera_rays_are_cached_read_only():
             arr[...] = 0
 
 
-def _assert_same_frames(got, want):
-    """Frame by frame: time, sensor fields, action and image bytes."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.t == w.t
-        assert g.sensor == w.sensor
-        assert g.action == w.action
-        assert g.images.keys() == w.images.keys()
-        for name in w.images:
-            assert g.images[name].tobytes() == w.images[name].tobytes()
+def _assert_same_frames(got, want, keep):
+    """got holds want's frames where keep holds: times, sensor fields, actions
+    and image bytes."""
+    assert got.frames.tobytes() == want.frames[keep].tobytes()
+    assert got.images.keys() == want.images.keys()
+    for name in want.images:
+        assert got.images[name].tobytes() == want.images[name][keep].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -267,24 +264,28 @@ def d_star():
     return bisect_delay_threshold(1)
 
 
-@pytest.mark.parametrize("horizon", [5.0, 1.5])
+@pytest.mark.parametrize("horizon", [5.0, 1.5, -1.0])
 @pytest.mark.parametrize("side", [-1, 1], ids=["below_d_star", "above_d_star"])
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
 def test_horizon_bounded_run_renders_only_the_kept_window(sid, side, horizon, d_star):
+    """The horizon window run_scenario renders, packed by truncate_episode, equals
+    the per-frame oracle's packing of the full run byte for byte, for 3-camera
+    6x6 and 5x7 sets and a 1-camera set. A window with no frame (horizon -1)
+    gives zero records of the episode's own dtype."""
     spec = ScenarioSpec(sid, max(0.0, d_star + 0.15 * side))
-    cams = default_cameras(rows=6, cols=6)
-    full = run_scenario(spec, cams)
-    bounded = run_scenario(spec, cams, horizon=horizon)
-    if sid in (1, 2):
-        assert full.label == (1 if side < 0 else 0)
-    assert (bounded.label, bounded.event_time) == (full.label, full.event_time)
-    lo, hi = full.event_time - horizon - 1e-9, full.event_time + 1e-9
-    _assert_same_frames(bounded.frames, [f for f in full.frames if lo <= f.t <= hi])
-    kept, kept_full = truncate_episode(bounded, horizon), truncate_episode(full, horizon)
-    assert len(kept) == len(bounded.frames) == len(kept_full)
-    for g, w in zip(kept, kept_full):
-        assert g.state.tobytes() == w.state.tobytes() and g.action == w.action
-        assert [i.tobytes() for i in g.images] == [i.tobytes() for i in w.images]
+    for cams in (default_cameras(6, 6), default_cameras(5, 7), default_cameras(6, 6)[:1]):
+        full = run_scenario(spec, cams)
+        bounded = run_scenario(spec, cams, horizon=horizon)
+        if sid in (1, 2):
+            assert full.label == (1 if side < 0 else 0)
+        assert (bounded.label, bounded.event_time) == (full.label, full.event_time)
+        t = full.frames.t
+        _assert_same_frames(bounded, full, (full.event_time - horizon - 1e-9 <= t)
+                            & (t <= full.event_time + 1e-9))
+        kept, want = truncate_episode(bounded), pack_frames(full, horizon)
+        assert len(kept) == len(bounded.frames) == len(want)
+        assert (len(kept) == 0) == (horizon < 0)
+        assert kept.dtype == want.dtype and kept.tobytes() == want.tobytes()
 
 
 def test_horizon_bounded_run_clamps_at_episode_start():
@@ -292,12 +293,12 @@ def test_horizon_bounded_run_clamps_at_episode_start():
     spec = ScenarioSpec(3, 0.05)
     full = run_scenario(spec, cams)
     bounded = run_scenario(spec, cams, horizon=6.0)
-    assert full.event_time < 6.0 < full.frames[-1].t
-    assert bounded.frames[0].t == 0.0
-    _assert_same_frames(bounded.frames, [f for f in full.frames if f.t <= full.event_time + 1e-9])
+    assert full.event_time < 6.0 < full.frames.t[-1]
+    assert bounded.frames.t[0] == 0.0
+    _assert_same_frames(bounded, full, full.frames.t <= full.event_time + 1e-9)
     # a window that holds no frame gives an empty episode, and nothing to keep
     empty = run_scenario(spec, cams, horizon=-1.0)
-    assert empty.frames == [] and len(truncate_episode(empty, -1.0)) == 0
+    assert len(empty.frames) == 0 and len(truncate_episode(empty)) == 0
 
 
 def _episode_states(spec, to_collision=True):
@@ -326,8 +327,9 @@ def test_window_render_equals_per_frame_oracle(sid, side, rows, cols, d_star):
     spec = ScenarioSpec(sid, max(0.0, d_star + 0.15 * side))
     states = _episode_states(spec, to_collision=False)
     kept = run_scenario(spec, horizon=5.0).frames
-    kept_states = [states[round(f.t / spec.dt)] for f in kept]
-    assert [s for s, _o in kept_states] == [f.sensor for f in kept]
+    kept_states = [states[round(t / spec.dt)] for t in kept.t]
+    assert ([(s.x, s.y, s.speed, s.torque_cmd, s.accelerator) for s, _o in kept_states]
+            == [(f.x, f.y, f.speed, f.torque_cmd, f.accelerator) for f in kept])
     block = max(1, RENDER_BLOCK_PIXELS // (rows * cols))
     windows = [states[:n] for n in sorted({1, block - 1, block, block + 1, 101} - {0})]
     assert max(map(len, windows)) == max(block + 1, 101)
@@ -336,7 +338,7 @@ def test_window_render_equals_per_frame_oracle(sid, side, rows, cols, d_star):
         want = {id(s): render_frame(s, o, cam, world) for s, o in states}
         for window in windows + [kept_states]:
             got = render_camera([s for s, _o in window], [o for _s, o in window], cam, world)
-            assert got.shape == (len(window), rows, cols, 1)
+            assert got.shape == (len(window), rows, cols)
             assert got.tobytes() == np.stack([want[id(s)] for s, _o in window]).tobytes()
 
 
