@@ -131,6 +131,10 @@ class EvalSettings:
             raise ValueError("threshold must lie in [0, 1]")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("validation fraction must lie in [0, 1)")
+        # out of these ranges an uncertainty verdict class cannot occur
+        if self.sigma_lo < 0 or not (0.0 <= self.peak_mass_frac <= 1.0
+                                     and 0.0 <= self.valley_ratio <= 1.0):
+            raise ValueError("need sigma_lo >= 0, and peak_mass_frac and valley_ratio in [0, 1]")
         if min(self.sfp_passes, self.bins) < 1:
             raise ValueError("pass and bin counts must be >= 1")
         if self.fold_k < 2:

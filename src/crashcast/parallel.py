@@ -23,11 +23,12 @@ def _fork_call(task):
 
 
 def fork_map(fn, tasks, jobs):
-    """[fn(t) for t in tasks], in `jobs` forked worker processes when jobs > 1.
+    """[fn(t) for t in tasks], in min(jobs, len(tasks)) forked worker processes if over 1.
 
     The workers inherit fn through fork, so it may be a closure; only the
     tasks and the results are pickled. Results keep the order of the tasks.
     """
+    jobs = min(jobs, len(tasks))  # a pool starts all its workers at once, idle or not
     if jobs <= 1:
         return [fn(t) for t in tasks]
     global _FORK_FN

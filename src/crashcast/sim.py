@@ -11,19 +11,21 @@ of four scenarios:
     4  head-on in the sensor's own lane (always a collision)
 
 Vehicles are oriented rectangles; collision is strict-overlap SAT, so
-edge-touching does not count (pairs too far apart to touch skip it). Cameras
+edge-touching does not count (frames too far apart to touch skip it). Cameras
 are pinhole projections rendered by ray casting with the ray-box slab test:
 the other vehicle is a box of intensity 1.0, the ground plane 0.25, the sky
 0.0. Each camera's pixel grid is built once and cached, with the z slab
 bounds of each pixel row, which no frame changes.
 
-An episode runs its physics first; the event time (collision, or closest
-approach) then fixes which frames are rendered. `run_scenario` alone decides
-that window: with a horizon, only the frames within that many seconds up to
-the event are rendered and kept, each camera's window in one `render_camera`
-call, in blocks of frames small enough to stay in cache. An episode is
-arrays: one FRAME_DTYPE record per kept frame, and each camera's window of
-images aligned with those records.
+An episode runs its physics first: each vehicle's `trajectory`, as per-frame
+arrays, since its start state and the frames at which it is told to go fix
+its whole motion. The event time (collision, or closest approach) then fixes
+which frames are rendered. `run_scenario` alone decides that window: with a
+horizon, only the frames within that many seconds up to the event are
+rendered and kept, each camera's window in one `render_camera` call, in
+blocks of frames small enough to stay in cache. An episode is arrays: one
+FRAME_DTYPE record per kept frame, and each camera's window of images aligned
+with those records.
 """
 
 import functools
@@ -52,6 +54,8 @@ class WorldConfig:
 
 @dataclass
 class VehicleState:
+    """A vehicle at one frame, or over frames when x, y, speed and accelerator are arrays."""
+
     x: float
     y: float
     heading: float          # radians, CCW from +x
@@ -93,6 +97,9 @@ def default_cameras(rows=32, cols=32):
     )
 
 
+MAX_FRAMES = 1_000_000  # an episode's physics holds a few float64 arrays this long
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     scenario_id: int
@@ -107,6 +114,8 @@ class ScenarioSpec:
             raise ValueError("delay must be non-negative")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not 0 <= self.max_duration / self.dt <= MAX_FRAMES:
+            raise ValueError(f"max_duration / dt must lie in [0, {MAX_FRAMES}] frames")
 
 
 # One kept frame of an episode: its time and the sensor-side values the
@@ -131,30 +140,26 @@ def _snap(v):
     return v
 
 
-@functools.lru_cache(maxsize=256)
 def _unit(heading):
     """cos/sin with snapping so axis-aligned headings are exactly axis-aligned."""
     return _snap(math.cos(heading)), _snap(math.sin(heading))
 
 
-def _step_vehicle(v, dt, world):
-    if v.accelerator:
-        new_speed = min(v.speed + world.max_accel * v.torque_cmd * dt, world.top_speed)
-    else:
-        new_speed = v.speed
-    # trapezoid of old/new speed: exact for piecewise-constant acceleration
-    dist = 0.5 * (v.speed + new_speed) * dt
+def trajectory(v, go, dt, world=WorldConfig()):
+    """v over len(go) frames dt apart from its start state; it speeds up out of frame k if go[k].
+
+    Increments are never negative, so capping their running sum at top_speed
+    equals capping each step (given v.speed <= top_speed). A step moves by
+    the trapezoid of its old and new speed, exact for piecewise-constant
+    acceleration.
+    """
+    inc = np.where(go[:-1], world.max_accel * v.torque_cmd * dt, 0.0)
+    speed = np.minimum(np.add.accumulate(np.concatenate(([v.speed], inc))), world.top_speed)
+    dist = 0.5 * (speed[:-1] + speed[1:]) * dt
     c, s = _unit(v.heading)
-    return VehicleState(v.x + dist * c, v.y + dist * s, v.heading, new_speed, v.torque_cmd,
-                        v.accelerator, v.length, v.width)
-
-
-def step_world(state, dt, world=WorldConfig()):
-    """Advance the (sensor, other) pair by one time step."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    sensor, other = state
-    return _step_vehicle(sensor, dt, world), _step_vehicle(other, dt, world)
+    return replace(v, x=np.add.accumulate(np.concatenate(([v.x], dist * c))),
+                   y=np.add.accumulate(np.concatenate(([v.y], dist * s))),
+                   speed=speed, accelerator=go.astype(np.int64))
 
 
 def _corners(v):
@@ -167,14 +172,7 @@ def _corners(v):
 
 
 def detect_collision(a, b):
-    """Strict-overlap separating-axis test on the two oriented rectangles.
-
-    Centres farther apart along x or y than the sum of the half-diagonals
-    (plus 1e-6, far above the corners' rounding) cannot overlap: no SAT.
-    """
-    reach = 0.5 * (math.hypot(a.length, a.width) + math.hypot(b.length, b.width)) + 1e-6
-    if abs(a.x - b.x) > reach or abs(a.y - b.y) > reach:
-        return False
+    """Strict-overlap separating-axis test on the two oriented rectangles."""
     pa, pb = _corners(a), _corners(b)
     for poly in (pa, pb):
         for i in range(4):
@@ -186,6 +184,16 @@ def detect_collision(a, b):
             if max(d1) <= min(d2) or max(d2) <= min(d1):
                 return False
     return True
+
+
+def first_collision(a, b):
+    """First frame at which trajectories a and b collide, or None. Centres farther
+    apart along x or y than the sum of the half-diagonals (plus 1e-6, far above
+    the corners' rounding) cannot overlap; only the other frames run the SAT."""
+    reach = 0.5 * (math.hypot(a.length, a.width) + math.hypot(b.length, b.width)) + 1e-6
+    near = (np.abs(a.x - b.x) <= reach) & (np.abs(a.y - b.y) <= reach)
+    return next((k for k in np.flatnonzero(near) if detect_collision(
+        replace(a, x=a.x[k], y=a.y[k]), replace(b, x=b.x[k], y=b.y[k]))), None)
 
 
 # Pixels per frame block in `render_camera`: a whole window's temporaries
@@ -214,43 +222,39 @@ def _camera_rays(cam, height):
     return (focal, *rays)
 
 
-def render_camera(sensors, others, cam, world=WorldConfig()):
+def render_camera(sensor, other, cam, world=WorldConfig()):
     """Ray-cast one camera over a window; returns (F, rows, cols) images in [0, 1].
 
-    Frame i views the box of others[i] from sensors[i]. A ray's ground-plane
-    direction depends only on its pixel column, so the x and y slabs are
-    solved per (frame, column) from per-frame Python-float scalars; they meet
-    each row's cached z slab in blocks of RENDER_BLOCK_PIXELS pixels (at
-    least one frame). min and max are exact, so no order of the slabs
-    changes a pixel.
+    Frame i views other's box at its i-th x and y from sensor at its i-th x
+    and y. Headings are constant, so a ray's ground-plane direction depends
+    only on its pixel column; the x and y slabs are solved per (frame,
+    column) and meet each row's cached z slab in blocks of
+    RENDER_BLOCK_PIXELS pixels (at least one frame). min and max are exact,
+    so no order of the slabs changes a pixel.
     """
     focal, u, below, z_near, z_far = _camera_rays(cam, world.vehicle_height)
-    scalars = []
-    for s, o in zip(sensors, others):
-        ch, sh = _unit(s.heading)
-        px = s.x + cam.mount[0] * ch - cam.mount[1] * sh
-        py = s.y + cam.mount[0] * sh + cam.mount[1] * ch
-        cb, sb = _unit(o.heading)
-        # ray origin in the box frame (x along the vehicle)
-        ox = (px - o.x) * cb + (py - o.y) * sb
-        oy = -(px - o.x) * sb + (py - o.y) * cb
-        scalars.append((*_unit(s.heading - cam.yaw_offset), cb, sb, ox, oy,
-                        o.length / 2.0, o.width / 2.0))
-    cc, sc, cb, sb, ox, oy, hl, hw = np.array(scalars).reshape(-1, 8).T[:, :, None, None]
+    ch, sh = _unit(sensor.heading)
+    cb, sb = _unit(other.heading)
+    cc, sc = _unit(sensor.heading - cam.yaw_offset)
+    px = sensor.x + cam.mount[0] * ch - cam.mount[1] * sh
+    py = sensor.y + cam.mount[0] * sh + cam.mount[1] * ch
+    # ray origin in the box frame (x along the vehicle), one per frame
+    ox = np.reshape((px - other.x) * cb + (py - other.y) * sb, (-1, 1, 1))
+    oy = np.reshape(-(px - other.x) * sb + (py - other.y) * cb, (-1, 1, 1))
 
-    dx = focal * cc - u * sc                # (F, 1, cols)
+    dx = focal * cc - u * sc                # (cols,)
     dy = focal * sc + u * cc
     bdx = dx * cb + dy * sb
     bdy = -dx * sb + dy * cb
     xy_near, xy_far = -np.inf, np.inf
-    for o, d, half in ((ox, bdx, hl), (oy, bdy, hw)):
+    for o, d, half in ((ox, bdx, other.length / 2.0), (oy, bdy, other.width / 2.0)):
         d = np.where(d == 0.0, 1e-300, d)
         t1 = (-half - o) / d
         t2 = (half - o) / d
         xy_near = np.maximum(xy_near, np.minimum(t1, t2))
         xy_far = np.minimum(xy_far, np.maximum(t1, t2))
 
-    img = np.empty((len(scalars), cam.rows, cam.cols))
+    img = np.empty((len(ox), cam.rows, cam.cols))
     img[:] = np.where(below, world.ground_intensity, 0.0)
     step = max(1, RENDER_BLOCK_PIXELS // (cam.rows * cam.cols))
     for i in range(0, len(img), step):
@@ -263,21 +267,16 @@ def render_camera(sensors, others, cam, world=WorldConfig()):
 
 def scenario_start_states(scenario_id, world=WorldConfig()):
     """Initial (sensor, other) pair for one of the four scenarios."""
-    dims = dict(length=world.vehicle_length, width=world.vehicle_width)
-    sensor = VehicleState(world.lane_offset, -world.start_distance, math.pi / 2, **dims)
-    if scenario_id == 1:
-        other = VehicleState(world.start_distance, world.lane_offset, math.pi, **dims)
-    elif scenario_id == 2:
-        # exact mirror of scenario 1 across the plane x = lane_offset
-        other = VehicleState(2.0 * world.lane_offset - world.start_distance,
-                             world.lane_offset, 0.0, **dims)
-    elif scenario_id == 3:
-        other = VehicleState(-world.lane_offset, world.start_distance, -math.pi / 2, **dims)
-    elif scenario_id == 4:
-        other = VehicleState(world.lane_offset, world.start_distance, -math.pi / 2, **dims)
-    else:
+    d, lane = world.start_distance, world.lane_offset
+    others = {1: (d, lane, math.pi),
+              2: (2.0 * lane - d, lane, 0.0),  # scenario 1 mirrored across x = lane_offset
+              3: (-lane, d, -math.pi / 2),
+              4: (lane, d, -math.pi / 2)}
+    if scenario_id not in others:
         raise ValueError("scenario_id must be 1..4")
-    return sensor, other
+    dims = dict(length=world.vehicle_length, width=world.vehicle_width)
+    return (VehicleState(lane, -d, math.pi / 2, **dims),
+            VehicleState(*others[scenario_id], **dims))
 
 
 def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
@@ -285,41 +284,36 @@ def run_scenario(spec, cams=(), world=WorldConfig(), horizon=None):
 
     Both vehicles start stationary; the other vehicle is commanded to go at
     t=0, the sensor vehicle at t=delay. Frames record only sensor-side data.
-    The physics runs first; the event time then fixes which frames are
-    rendered. With `horizon` set, only the frames in [event - horizon, event]
-    are rendered and returned, with 1e-9 s of slack at both ends since frame
-    times are computed as k * dt; with None, every frame is.
+    The physics runs first, and no frame after the first collision is kept;
+    the event time then fixes which frames are rendered. With `horizon` set,
+    only the frames in [event - horizon, event] are rendered and returned,
+    with 1e-9 s of slack at both ends since frame times are computed as
+    k * dt; with None, every frame is.
     """
     sensor, other = scenario_start_states(spec.scenario_id, world)
-    other = replace(other, accelerator=1)
-    n_steps = int(math.floor(spec.max_duration / spec.dt + 1e-9))
-    states = []             # (t, sensor, other, action) per frame
-    label = 0
-    event_time = 0.0
-    best_dist = math.inf
-    for k in range(n_steps + 1):
-        t = k * spec.dt
-        go = 1 if t + 1e-12 >= spec.delay else 0
-        if sensor.accelerator != go:
-            sensor = replace(sensor, accelerator=go)
-        states.append((t, sensor, other, go))
-        if detect_collision(sensor, other):
-            label = 1
-            event_time = t
-            break
-        dist = math.hypot(sensor.x - other.x, sensor.y - other.y)
-        if dist < best_dist:
-            best_dist = dist
-            event_time = t
-        sensor, other = step_world((sensor, other), spec.dt, world)
+    t = np.arange(math.floor(spec.max_duration / spec.dt + 1e-9) + 1) * spec.dt
+    go = t + 1e-12 >= spec.delay
+    sensor = trajectory(sensor, go, spec.dt, world)
+    other = trajectory(other, np.ones_like(go), spec.dt, world)
+    hit = first_collision(sensor, other)
+    if hit is None:
+        # math.hypot, not np.hypot: the two may differ in the last bit
+        dist = list(map(math.hypot, (sensor.x - other.x).tolist(), (sensor.y - other.y).tolist()))
+        label, event = 0, dist.index(min(dist))
+    else:
+        label, event = 1, hit
+        t = t[:hit + 1]
+    event_time = float(t[event])
+    keep = slice(len(t))
     if horizon is not None:
-        states = [s for s in states if event_time - horizon - 1e-9 <= s[0] <= event_time + 1e-9]
-    # step_world returns new states, so a frame's sensor is never mutated later
-    sensors = [s for _t, s, _o, _go in states]
-    others = [o for _t, _s, o, _go in states]
-    frames = np.array([(t, s.x, s.y, s.speed, s.torque_cmd, s.accelerator, go)
-                       for t, s, _o, go in states], dtype=FRAME_DTYPE).view(np.recarray)
-    images = {cam.name: render_camera(sensors, others, cam, world) for cam in cams}
+        keep = np.flatnonzero((event_time - horizon - 1e-9 <= t) & (t <= event_time + 1e-9))
+    sensor, other = (replace(v, x=v.x[keep], y=v.y[keep], speed=v.speed[keep],
+                             accelerator=v.accelerator[keep]) for v in (sensor, other))
+    frames = np.recarray(len(sensor.x), FRAME_DTYPE)
+    frames.t, frames.x, frames.y, frames.speed = t[keep], sensor.x, sensor.y, sensor.speed
+    frames.torque_cmd = sensor.torque_cmd
+    frames.accelerator = frames.action = sensor.accelerator
+    images = {cam.name: render_camera(sensor, other, cam, world) for cam in cams}
     return Episode(frames=frames, images=images, label=label, event_time=event_time)
 
 

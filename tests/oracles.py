@@ -17,9 +17,14 @@ A layer is a field -> array map (`w_xi`, ..., `b_o`), as the core sees it.
 premasked gives the weights a Monte-Carlo dropout pass should apply at every
 time step; an unmasked forward on them is the mask-constancy reference.
 
-render_frame ray-casts one frame over its full pixel grid, and sat_collision
-runs the separating-axis test with no early exit; the simulator's window
-renderer and its collision test must equal them.
+render_frame ray-casts one frame over its full pixel grid; the simulator's
+window renderer must equal it.
+
+step_world advances both vehicles by one tick, and tick_states and
+tick_scenario run a whole episode one tick at a time with it; the
+simulator's whole-episode trajectories, label, event time and frame records
+must equal theirs. They test each frame with the separating-axis test alone,
+where the simulator skips frames too far apart to touch.
 
 pack_frames keeps the frames of a whole episode that lie within a horizon of
 its event and packs them one frame at a time; the simulator's horizon window
@@ -27,12 +32,21 @@ packed by data.truncate_episode must equal it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from crashcast.data import DASHCAM_MOUNT, frame_dtype, quantize_image
 from crashcast.network import _channels_last, _core_input, _layer, _layer_forward, sigmoid
-from crashcast.sim import CAMERA_ORDER, _corners, _unit
+from crashcast.sim import (
+    CAMERA_ORDER,
+    FRAME_DTYPE,
+    VehicleState,
+    WorldConfig,
+    _unit,
+    detect_collision,
+    scenario_start_states,
+)
 
 
 def _as_f64(x):
@@ -234,16 +248,62 @@ def pack_frames(episode, horizon):
     return frames
 
 
-def sat_collision(a, b):
-    """Strict-overlap separating-axis test on two oriented rectangles, every axis tried."""
-    pa, pb = _corners(a), _corners(b)
-    for poly in (pa, pb):
-        for i in range(4):
-            ex = poly[(i + 1) % 4][0] - poly[i][0]
-            ey = poly[(i + 1) % 4][1] - poly[i][1]
-            ax, ay = -ey, ex
-            d1 = [p[0] * ax + p[1] * ay for p in pa]
-            d2 = [p[0] * ax + p[1] * ay for p in pb]
-            if max(d1) <= min(d2) or max(d2) <= min(d1):
-                return False
-    return True
+def _step_vehicle(v, dt, world):
+    if v.accelerator:
+        new_speed = min(v.speed + world.max_accel * v.torque_cmd * dt, world.top_speed)
+    else:
+        new_speed = v.speed
+    # trapezoid of old/new speed: exact for piecewise-constant acceleration
+    dist = 0.5 * (v.speed + new_speed) * dt
+    c, s = _unit(v.heading)
+    return VehicleState(v.x + dist * c, v.y + dist * s, v.heading, new_speed, v.torque_cmd,
+                        v.accelerator, v.length, v.width)
+
+
+def step_world(state, dt, world=WorldConfig()):
+    """Advance the (sensor, other) pair by one time step."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    sensor, other = state
+    return _step_vehicle(sensor, dt, world), _step_vehicle(other, dt, world)
+
+
+def tick_states(spec, world=WorldConfig(), to_collision=True):
+    """(t, sensor, other) at every frame of an episode, both vehicles stepped by
+    step_world, up to its collision by the SAT or, if not to_collision,
+    for the whole max_duration."""
+    sensor, other = scenario_start_states(spec.scenario_id, world)
+    other = replace(other, accelerator=1)
+    states = []
+    for k in range(int(math.floor(spec.max_duration / spec.dt + 1e-9)) + 1):
+        t = k * spec.dt
+        sensor = replace(sensor, accelerator=1 if t + 1e-12 >= spec.delay else 0)
+        states.append((t, sensor, other))
+        if to_collision and detect_collision(sensor, other):
+            break
+        sensor, other = step_world((sensor, other), spec.dt, world)
+    return states
+
+
+def tick_scenario(spec, world=WorldConfig(), horizon=None):
+    """(label, event time, frame records, kept states) of an episode run one tick
+    at a time: the collision frame by the SAT, else the first frame of
+    closest approach by math.hypot, and the FRAME_DTYPE records and
+    (t, sensor, other) of the frames within `horizon` up to the event."""
+    states = tick_states(spec, world)
+    _t, sensor, other = states[-1]
+    label = int(detect_collision(sensor, other))
+    if label:
+        event_time = states[-1][0]
+    else:
+        best, event_time = math.inf, 0.0
+        for t, sensor, other in states:
+            dist = math.hypot(sensor.x - other.x, sensor.y - other.y)
+            if dist < best:
+                best, event_time = dist, t
+    if horizon is not None:
+        states = [s for s in states
+                  if event_time - horizon - 1e-9 <= s[0] <= event_time + 1e-9]
+    frames = np.array([(t, s.x, s.y, s.speed, s.torque_cmd, s.accelerator, s.accelerator)
+                       for t, s, _o in states], dtype=FRAME_DTYPE)
+    return label, event_time, frames, states

@@ -140,6 +140,14 @@ BAD_SETTINGS = [
     ("net.merge_units=65536", "bad net settings: merge_units"),
     ("sim.image_size=65536", "'sim.image_size'"),
     ("data.seq_len=256", "'data.seq_len'"),
+    # episodes of over a million frames used to pass the parser, and gen-data's
+    # delay bisection then stepped them one tick at a time (1.2e10 ticks at dt 1e-9)
+    ("sim.dt=1e-9", "bad sim settings"),
+    ("sim.max_duration=1e12", "bad sim settings"),
+    # each parsed, and made an uncertainty verdict class unreachable
+    ("eval.sigma_lo=-1", "'eval.sigma_lo'"),
+    ("eval.peak_mass_frac=5", "'eval.peak_mass_frac'"),
+    ("eval.valley_ratio=-3", "'eval.valley_ratio'"),
 ]
 
 

@@ -6,10 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import pack_frames, render_frame, sat_collision
+from oracles import (
+    pack_frames,
+    render_frame,
+    step_world,
+    tick_scenario,
+    tick_states,
+)
 
 from crashcast.data import truncate_episode
 from crashcast.sim import (
+    MAX_FRAMES,
     RENDER_BLOCK_PIXELS,
     CameraSpec,
     Episode,
@@ -20,10 +27,11 @@ from crashcast.sim import (
     bisect_delay_threshold,
     default_cameras,
     detect_collision,
+    first_collision,
     render_camera,
     run_scenario,
     scenario_start_states,
-    step_world,
+    trajectory,
 )
 
 
@@ -35,40 +43,51 @@ def closed_form_distance(t, a=5.0, top=10.0):
     return 0.5 * a * t_cap * t_cap + top * (t - t_cap)
 
 
+def _per_tick(v, go, dt):
+    """(x, y, speed) of v at each frame, stepped one tick at a time by the oracle."""
+    out = []
+    for g in go:
+        v = replace(v, accelerator=int(g))
+        out.append((v.x, v.y, v.speed))
+        v, _ = step_world((v, v), dt)
+    return out
+
+
+def _run(v, go, dt):
+    """trajectory of v, checked against the per-tick oracle bit for bit."""
+    run = trajectory(v, np.asarray(go), dt)
+    assert list(zip(run.x.tolist(), run.y.tolist(), run.speed.tolist())) == _per_tick(v, go, dt)
+    assert run.accelerator.tolist() == [int(g) for g in go]
+    return run
+
+
 def test_step_world_stopped_vehicle_unchanged():
-    v = VehicleState(1.0, 2.0, 0.3, speed=0.0, accelerator=0)
-    o = VehicleState(50.0, 50.0, 0.0)
-    v2, _ = step_world((v, o), 0.05)
-    assert (v2.x, v2.y, v2.speed) == (1.0, 2.0, 0.0)
+    run = _run(VehicleState(1.0, 2.0, 0.3), [False] * 20, 0.05)
+    assert (run.x == 1.0).all() and (run.y == 2.0).all() and (run.speed == 0.0).all()
 
 
 def test_step_world_reaches_top_speed_in_two_seconds():
-    v = VehicleState(0.0, 0.0, 0.0, accelerator=1, torque_cmd=1.0)
-    o = VehicleState(100.0, 100.0, 0.0)
-    for k in range(40):
-        v, o = step_world((v, o), 0.05)
-        if k < 39:
-            assert v.speed < 10.0
-    assert v.speed == pytest.approx(10.0, abs=1e-12)
+    run = _run(VehicleState(0.0, 0.0, 0.0, torque_cmd=1.0), [True] * 45, 0.05)
+    assert (run.speed[:40] < 10.0).all()
+    assert run.speed[40] == pytest.approx(10.0, abs=1e-12)
+    assert (run.speed[41:] == 10.0).all()
 
 
 def test_step_world_position_matches_piecewise_kinematics():
-    v = VehicleState(0.0, 0.0, 0.0, accelerator=1)
-    o = VehicleState(100.0, 100.0, 0.0)
+    run = _run(VehicleState(0.0, 0.0, 0.0), [True] * 61, 0.05)
     for k in range(1, 61):
-        v, o = step_world((v, o), 0.05)
-        assert v.x == pytest.approx(closed_form_distance(k * 0.05), abs=1e-9)
-    assert v.x == pytest.approx(20.0, abs=1e-9)  # 10 m accelerating + 10 m cruising
+        assert run.x[k] == pytest.approx(closed_form_distance(k * 0.05), abs=1e-9)
+    assert run.x[60] == pytest.approx(20.0, abs=1e-9)  # 10 m accelerating + 10 m cruising
+    # a vehicle told to go late stands still until then
+    late = _run(VehicleState(0.0, 0.0, 0.0), [False] * 10 + [True] * 51, 0.05)
+    assert (late.x[:11] == 0.0).all()
+    assert late.x[60] == pytest.approx(closed_form_distance(2.5), abs=1e-9)
 
 
 def test_step_world_heading_respected():
-    v = VehicleState(0.0, 0.0, math.pi / 2, speed=4.0, accelerator=0)
-    o = VehicleState(100.0, 100.0, 0.0)
-    v2, _ = step_world((v, o), 0.5)
-    assert v2.x == pytest.approx(0.0, abs=1e-12)
-    assert v2.y == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        step_world((v, o), 0.0)
+    run = _run(VehicleState(0.0, 0.0, math.pi / 2, speed=4.0), [False] * 2, 0.5)
+    assert run.x[1] == pytest.approx(0.0, abs=1e-12)
+    assert run.y[1] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_detect_collision_basic():
@@ -93,11 +112,17 @@ def test_detect_collision_rotated():
     assert not detect_collision(a, c)
 
 
+def _window(*states):
+    """One vehicle over a window of its scalar states: x and y as per-frame arrays."""
+    return replace(states[0], x=np.array([v.x for v in states]),
+                   y=np.array([v.y for v in states]))
+
+
 def test_render_empty_frustum_has_no_vehicle_pixels():
     cam = default_cameras()[1]
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     behind = VehicleState(0.0, -100.0, math.pi / 2)
-    img = render_camera([sensor], [behind], cam)[0]
+    img = render_camera(_window(sensor), _window(behind), cam)[0]
     assert not (img == 1.0).any()
     # ground fills the lower half, sky the upper half
     assert (img[16:, :] == 0.25).all()
@@ -108,7 +133,7 @@ def test_render_dead_ahead_blob_is_centred():
     cam = default_cameras()[1]
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     other = VehicleState(0.0, 10.0, math.pi / 2)
-    img = render_camera([sensor], [other], cam)[0]
+    img = render_camera(_window(sensor), _window(other), cam)[0]
     rows, cols = np.nonzero(img == 1.0)
     assert len(cols) > 0
     assert abs(cols.mean() - (img.shape[1] - 1) / 2.0) <= 1.0
@@ -117,8 +142,8 @@ def test_render_dead_ahead_blob_is_centred():
 def test_render_values_and_determinism():
     cam = default_cameras()[0]
     sensor, other = scenario_start_states(1)
-    a = render_camera([sensor], [other], cam)[0]
-    b = render_camera([sensor], [other], cam)[0]
+    a = render_camera(_window(sensor), _window(other), cam)[0]
+    b = render_camera(_window(sensor), _window(other), cam)[0]
     assert (a == b).all()
     assert a.shape == (32, 32)
     assert set(np.unique(a)) <= {0.0, 0.25, 1.0}
@@ -138,6 +163,11 @@ def test_scenario_spec_validation():
         ScenarioSpec(1, -1.0)
     with pytest.raises(ValueError):
         ScenarioSpec(1, 0.0, dt=0.0)
+    # the frame budget: at most MAX_FRAMES steps, and none negative
+    ScenarioSpec(1, 0.0, dt=1.0, max_duration=float(MAX_FRAMES))
+    for dt, duration in ((1.0, MAX_FRAMES + 1.0), (1e-9, 12.0), (0.05, 1e12), (0.05, -1.0)):
+        with pytest.raises(ValueError, match="frames"):
+            ScenarioSpec(1, 0.0, dt=dt, max_duration=duration)
 
 
 def test_scenario_timestamps_and_frame_budget():
@@ -162,7 +192,6 @@ def test_label_matches_collision_replay():
         spec = ScenarioSpec(sid, delay)
         ep = run_scenario(spec)
         sensor, other = scenario_start_states(sid)
-        from dataclasses import replace
         other = replace(other, accelerator=1)
         hit = False
         for k in range(len(ep.frames)):
@@ -207,7 +236,6 @@ def test_scenario_mirror_renders():
 def test_no_collision_event_time_is_closest_approach():
     spec = ScenarioSpec(3, 0.5)
     ep = run_scenario(spec)
-    from dataclasses import replace
     sensor, other = scenario_start_states(3)
     other = replace(other, accelerator=1)
     best = (math.inf, None)
@@ -223,10 +251,10 @@ def test_no_collision_event_time_is_closest_approach():
 
 def test_render_is_pure():
     cam = default_cameras()[1]
-    sensor, other = scenario_start_states(1)
-    sx, ox = sensor.x, other.x
-    render_camera([sensor], [other], cam)[0]
-    assert sensor.x == sx and other.x == ox
+    sensor, other = (_window(v) for v in scenario_start_states(1))
+    sx, ox = sensor.x.copy(), other.x.copy()
+    render_camera(sensor, other, cam)[0]
+    assert (sensor.x == sx).all() and (other.x == ox).all()
 
 
 def test_episode_records_sensor_side_only():
@@ -301,22 +329,6 @@ def test_horizon_bounded_run_clamps_at_episode_start():
     assert len(empty.frames) == 0 and len(truncate_episode(empty)) == 0
 
 
-def _episode_states(spec, to_collision=True):
-    """(sensor, other) at every frame of an episode, stepped as run_scenario steps
-    them, up to its collision by the full SAT or, if not to_collision, for the
-    whole max_duration."""
-    sensor, other = scenario_start_states(spec.scenario_id)
-    other = replace(other, accelerator=1)
-    states = []
-    for k in range(int(math.floor(spec.max_duration / spec.dt + 1e-9)) + 1):
-        sensor = replace(sensor, accelerator=1 if k * spec.dt + 1e-12 >= spec.delay else 0)
-        states.append((sensor, other))
-        if to_collision and sat_collision(sensor, other):
-            break
-        sensor, other = step_world((sensor, other), spec.dt)
-    return states
-
-
 @pytest.mark.parametrize("rows, cols", [(32, 32), (6, 6), (5, 7), (100, 100)])
 @pytest.mark.parametrize("side", [-1, 1], ids=["below_d_star", "above_d_star"])
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
@@ -325,21 +337,22 @@ def test_window_render_equals_per_frame_oracle(sid, side, rows, cols, d_star):
     for byte: windows of 1, block - 1, block, block + 1 and 101 frames from
     the start of a 12 s run, and the window gen-data keeps of the episode."""
     spec = ScenarioSpec(sid, max(0.0, d_star + 0.15 * side))
-    states = _episode_states(spec, to_collision=False)
+    states = tick_states(spec, to_collision=False)
     kept = run_scenario(spec, horizon=5.0).frames
     kept_states = [states[round(t / spec.dt)] for t in kept.t]
-    assert ([(s.x, s.y, s.speed, s.torque_cmd, s.accelerator) for s, _o in kept_states]
+    assert ([(s.x, s.y, s.speed, s.torque_cmd, s.accelerator) for _t, s, _o in kept_states]
             == [(f.x, f.y, f.speed, f.torque_cmd, f.accelerator) for f in kept])
     block = max(1, RENDER_BLOCK_PIXELS // (rows * cols))
     windows = [states[:n] for n in sorted({1, block - 1, block, block + 1, 101} - {0})]
     assert max(map(len, windows)) == max(block + 1, 101)
     world = WorldConfig()
     for cam in default_cameras(rows, cols):
-        want = {id(s): render_frame(s, o, cam, world) for s, o in states}
+        want = {id(s): render_frame(s, o, cam, world) for _t, s, o in states}
         for window in windows + [kept_states]:
-            got = render_camera([s for s, _o in window], [o for _s, o in window], cam, world)
+            got = render_camera(_window(*[s for _t, s, _o in window]),
+                                _window(*[o for _t, _s, o in window]), cam, world)
             assert got.shape == (len(window), rows, cols)
-            assert got.tobytes() == np.stack([want[id(s)] for s, _o in window]).tobytes()
+            assert got.tobytes() == np.stack([want[id(s)] for _t, s, _o in window]).tobytes()
 
 
 def test_broad_phase_equals_full_sat_near_its_cut_off():
@@ -362,8 +375,8 @@ def test_broad_phase_equals_full_sat_near_its_cut_off():
         a = VehicleState(0.0, 0.0, ha + turn, length=la, width=wa)
         b = VehicleState(dx, dy, hb + turn, length=lb, width=wb)
         for p, q in ((a, b), (b, a)):
-            assert detect_collision(p, q) == sat_collision(p, q)
-        outcomes.append(sat_collision(a, b))
+            assert (first_collision(_window(p), _window(q)) == 0) == detect_collision(p, q)
+        outcomes.append(detect_collision(a, b))
     assert any(outcomes) and not all(outcomes)
 
 
@@ -378,11 +391,50 @@ def test_broad_phase_equals_full_sat_near_its_cut_off():
     (VehicleState(2.0, -40.0, math.pi / 2), VehicleState(-0.0, -40.0, math.pi / 2), False),
 ])
 def test_broad_phase_equals_full_sat_on_touching_edges(a, b, hit):
-    assert detect_collision(a, b) == detect_collision(b, a) == sat_collision(a, b) == hit
+    assert detect_collision(a, b) == detect_collision(b, a) == hit
+    assert (first_collision(_window(a), _window(b)) == first_collision(_window(b), _window(a))
+            == (0 if hit else None))
 
 
 @pytest.mark.parametrize("side", [-1, 1], ids=["below_d_star", "above_d_star"])
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
 def test_broad_phase_equals_full_sat_on_episode_states(sid, side, d_star):
-    states = _episode_states(ScenarioSpec(sid, max(0.0, d_star + 0.15 * side)))
-    assert [detect_collision(s, o) for s, o in states] == [sat_collision(s, o) for s, o in states]
+    """first_collision over a whole 12 s run, and over each of its frames alone,
+    agrees with the SAT at every frame."""
+    states = tick_states(ScenarioSpec(sid, max(0.0, d_star + 0.15 * side)), to_collision=False)
+    hits = [detect_collision(s, o) for _t, s, o in states]
+    assert [first_collision(_window(s), _window(o)) == 0 for _t, s, o in states] == hits
+    assert (first_collision(_window(*[s for _t, s, _o in states]),
+                            _window(*[o for _t, _s, o in states]))
+            == (hits.index(True) if any(hits) else None))
+
+
+@pytest.mark.parametrize("world, dt", [
+    (WorldConfig(), 0.05),
+    (WorldConfig(start_distance=37.3, lane_offset=1.9, top_speed=9.3, max_accel=4.7), 0.037),
+], ids=["default", "unround"])
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+def test_run_scenario_equals_per_tick_oracle(sid, world, dt):
+    """Whole-episode trajectories give the per-tick run's frame records, label and
+    event time byte for byte, with and without a horizon, at 41 delays over
+    [0, 2 d* + 1], at d*, at 11 s and 5e-13 s after three frame times (inside
+    the go test's 1e-12 s slack); every seventh delay at 4x4 cameras, images
+    too. The second world's speeds and positions round in every step."""
+    d_star = bisect_delay_threshold(1, world, dt=dt)
+    delays = [*np.linspace(0.0, 2.0 * d_star + 1.0, 41).tolist(), d_star, 11.0,
+              *(k * dt + 5e-13 for k in (0, 4, 43))]
+    labels = set()
+    for i, delay in enumerate(delays):
+        spec = ScenarioSpec(sid, delay, dt=dt)
+        cams = default_cameras(4, 4) if i % 7 == 0 else ()
+        for horizon in (None, 5.0):
+            label, event_time, frames, states = tick_scenario(spec, world, horizon)
+            ep = run_scenario(spec, cams, world, horizon)
+            assert (ep.label, ep.event_time) == (label, event_time)
+            assert type(ep.event_time) is float
+            assert ep.frames.dtype == frames.dtype and ep.frames.tobytes() == frames.tobytes()
+            for cam in cams:
+                want = np.stack([render_frame(s, o, cam, world) for _t, s, o in states])
+                assert ep.images[cam.name].tobytes() == want.tobytes()
+            labels.add(label)
+    assert labels == ({0, 1} if sid in (1, 2) else {int(sid == 4)})

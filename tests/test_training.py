@@ -205,6 +205,26 @@ def test_fork_map_runs_closures_in_task_order():
     assert os.getpid() not in {pid for _, pid in par}
 
 
+def test_fork_map_forks_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class Recording(parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+
+    def pid(_task):
+        return os.getpid()
+
+    assert parallel.fork_map(pid, [], 4) == []
+    assert parallel.fork_map(pid, ["one"], 4) == [os.getpid()]
+    assert sizes == []  # a single task runs in this process
+    assert os.getpid() not in parallel.fork_map(pid, range(2), 4)
+    assert parallel.fork_map(pid, range(5), 3) and sizes == [2, 3]
+
+
 def test_full_batch_sgd_loss_non_increasing_on_smooth_start():
     config = tiny_config()
     params = init_params(config, seed=11)
