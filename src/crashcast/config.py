@@ -44,6 +44,10 @@ def _list_parser(item):
     return parse
 
 
+MAX_EPISODES_PER_SCENARIO = 100_000  # gen-data draws and holds each scenario's delays at once
+MAX_BINS = 10_000  # each histogram bin is a CSV row and an SVG bar
+
+
 @dataclass(frozen=True)
 class SimSettings:
     dt: float = 0.05
@@ -71,8 +75,8 @@ class SimSettings:
             raise ValueError("delay window must be >= 0")
         if self.image_size > 65535:  # DPMD stores rows and cols in u16 fields
             raise ValueError(f"image size must be <= 65535, got {self.image_size}")
-        if self.episodes_per_scenario < 0:
-            raise ValueError("episodes per scenario must be >= 0")
+        if not 0 <= self.episodes_per_scenario <= MAX_EPISODES_PER_SCENARIO:
+            raise ValueError(f"episodes per scenario must lie in [0, {MAX_EPISODES_PER_SCENARIO}]")
         # a repeated scenario would draw the same delays and duplicate its windows
         if len(set(self.scenarios)) != len(self.scenarios):
             raise ValueError(f"scenarios must be distinct, got {self.scenarios}")
@@ -137,6 +141,8 @@ class EvalSettings:
             raise ValueError("need sigma_lo >= 0, and peak_mass_frac and valley_ratio in [0, 1]")
         if min(self.sfp_passes, self.bins) < 1:
             raise ValueError("pass and bin counts must be >= 1")
+        if self.bins > MAX_BINS:
+            raise ValueError(f"bin count must be <= {MAX_BINS}, got {self.bins}")
         if self.fold_k < 2:
             raise ValueError("k-fold needs k >= 2")
         if self.fold_unit not in ("episodes", "samples"):

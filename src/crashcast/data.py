@@ -1,8 +1,9 @@
 """Episode-to-sample pipeline and the bit-exact binary dataset format.
 
 The simulator renders only the `data.horizon` seconds before the collision
-(or the closest approach); truncate_episode packs that episode into frame
-records carrying quantized images plus the 9-entry proprioceptive state
+(or the closest approach), and its images arrive already in the 8-bit
+storage form; truncate_episode packs that episode into frame records
+carrying those bytes as they are plus the 9-entry proprioceptive state
 vector, and windowize cuts them into overlapping fixed-length windows that
 inherit the episode label. gen-data shuffles the windows once
 (assemble_dataset) and stores them in that order; split_samples is the one
@@ -75,27 +76,14 @@ class Dataset:
     cols: int
 
 
-def quantize_image(img, out=None):
-    """Map a float image in [0, 1] to storage bytes.
-
-    The scaled values are rounded and clipped in `out`, a float64 array of
-    img's shape that may be img itself, or else in one new array.
-    """
-    q = np.multiply(img, 255.0, out=out)
-    np.rint(q, out=q)
-    np.clip(q, 0, 255, out=q)
-    return q.astype(np.uint8)
-
-
 def truncate_episode(episode):
-    """The episode's frames as frame records, each camera's window quantized in turn."""
+    """The episode's frames as frame records, each camera's window assigned whole."""
     src = episode.frames
     cameras = [c for c in CAMERA_ORDER if c in episode.images]
     rows, cols = episode.images[cameras[0]].shape[1:]
     frames = np.recarray(len(src), frame_dtype(len(cameras), rows, cols))
-    window = np.empty((len(src), rows, cols))  # the quantize buffer, reused per camera
     for ci, cam in enumerate(cameras):
-        frames.images[:, ci] = quantize_image(episode.images[cam], out=window)
+        frames.images[:, ci] = episode.images[cam]
     frames.state[:, :3] = DASHCAM_MOUNT
     frames.state[:, 3:] = np.column_stack([src.x, src.y, np.zeros(len(src)), src.speed,
                                            src.torque_cmd, src.accelerator])

@@ -12,10 +12,12 @@ of four scenarios:
 
 Vehicles are oriented rectangles; collision is strict-overlap SAT, so
 edge-touching does not count (frames too far apart to touch skip it). Cameras
-are pinhole projections rendered by ray casting with the ray-box slab test:
-the other vehicle is a box of intensity 1.0, the ground plane 0.25, the sky
-0.0. Each camera's pixel grid is built once and cached, with the z slab
-bounds of each pixel row, which no frame changes.
+are pinhole projections rendered by ray casting with the ray-box slab test.
+Images are written straight in DPMD's 8-bit storage form, round(255 *
+intensity): the other vehicle is a box of intensity 1.0 (byte 255), the
+ground plane 0.25 (byte 64), the sky 0.0 (byte 0). Each camera's pixel grid
+is built once and cached, with the z slab bounds of each pixel row, which no
+frame changes.
 
 An episode runs its physics first: each vehicle's `trajectory`, as per-frame
 arrays, since its start state and the frames at which it is told to go fix
@@ -48,8 +50,6 @@ class WorldConfig:
     vehicle_height: float = 1.5
     top_speed: float = 10.0
     max_accel: float = 5.0
-    ground_intensity: float = 0.25
-    vehicle_intensity: float = 1.0
 
 
 @dataclass
@@ -128,7 +128,7 @@ FRAME_DTYPE = np.dtype([("t", "<f8"), ("x", "<f8"), ("y", "<f8"), ("speed", "<f8
 @dataclass
 class Episode:
     frames: np.recarray     # one FRAME_DTYPE record per rendered frame
-    images: dict            # camera name -> (F, rows, cols) window in [0, 1], one image per frame
+    images: dict            # camera name -> (F, rows, cols) uint8 window, one image per frame
     label: int              # 1 collision, 0 no collision
     event_time: float       # collision time, or time of closest approach
 
@@ -196,6 +196,10 @@ def first_collision(a, b):
         replace(a, x=a.x[k], y=a.y[k]), replace(b, x=b.x[k], y=b.y[k]))), None)
 
 
+# Rendered pixel values in storage form (sky is 0): rint(255 * 0.25) and 255 * 1.0.
+GROUND_BYTE = 64
+VEHICLE_BYTE = 255
+
 # Pixels per frame block in `render_camera`: a whole window's temporaries
 # overflow a 2 MB L2 cache, 8 frames of 32x32 stay inside it.
 RENDER_BLOCK_PIXELS = 8192
@@ -223,7 +227,7 @@ def _camera_rays(cam, height):
 
 
 def render_camera(sensor, other, cam, world=WorldConfig()):
-    """Ray-cast one camera over a window; returns (F, rows, cols) images in [0, 1].
+    """Ray-cast one camera over a window; returns (F, rows, cols) uint8 storage bytes.
 
     Frame i views other's box at its i-th x and y from sensor at its i-th x
     and y. Headings are constant, so a ray's ground-plane direction depends
@@ -254,13 +258,13 @@ def render_camera(sensor, other, cam, world=WorldConfig()):
         xy_near = np.maximum(xy_near, np.minimum(t1, t2))
         xy_far = np.minimum(xy_far, np.maximum(t1, t2))
 
-    img = np.empty((len(ox), cam.rows, cam.cols))
-    img[:] = np.where(below, world.ground_intensity, 0.0)
+    img = np.empty((len(ox), cam.rows, cam.cols), np.uint8)
+    img[:] = np.where(below, GROUND_BYTE, 0)
     step = max(1, RENDER_BLOCK_PIXELS // (cam.rows * cam.cols))
     for i in range(0, len(img), step):
         t_near = np.maximum(z_near, xy_near[i:i + step])
         t_far = np.minimum(z_far, xy_far[i:i + step])
-        np.copyto(img[i:i + step], world.vehicle_intensity,
+        np.copyto(img[i:i + step], VEHICLE_BYTE,
                   where=(t_near <= t_far) & (t_near > 0.0))
     return img
 

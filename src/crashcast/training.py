@@ -103,12 +103,16 @@ def apply_update(params, grads, state, config):
     return params, state
 
 
-def _mean_val_loss(params, net_config, valset, chunk=64):
-    total = 0.0
-    for lo in range(0, len(valset), chunk):
-        part = valset[lo : lo + chunk]
-        probs = dpm_forward_batch(params, net_config, part)
-        total += float(sample_losses(probs, part.label).sum())
+def _chunked_forward(params, net_config, samples, chunk=64):
+    """(part, probs) for each chunk of samples in order: a deterministic forward."""
+    for lo in range(0, len(samples), chunk):
+        part = samples[lo : lo + chunk]
+        yield part, dpm_forward_batch(params, net_config, part)
+
+
+def _mean_val_loss(params, net_config, valset):
+    total = sum(float(sample_losses(probs, part.label).sum())
+                for part, probs in _chunked_forward(params, net_config, valset))
     return total / len(valset)
 
 
@@ -171,8 +175,6 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
                 if checks_without_improvement >= config.patience:
                     report.stop_reason = "early_stop"
                     break
-    else:
-        report.stop_reason = "max_iters"
 
     report.wall_time = time.monotonic() - t_start
     if not len(valset):
@@ -180,13 +182,12 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
     return best_params, report
 
 
-def evaluate(params, net_config, testset, threshold=0.5, chunk=64):
+def evaluate(params, net_config, testset, threshold=0.5):
     """ConfusionCounts of a deterministic forward (no dropout) over testset;
     collision iff P(collision) >= threshold."""
-    preds = np.zeros(len(testset), dtype=bool)
-    for lo in range(0, len(testset), chunk):
-        probs = dpm_forward_batch(params, net_config, testset[lo : lo + chunk])
-        preds[lo : lo + chunk] = probs[:, 0] >= threshold
+    preds = [probs[:, 0] >= threshold
+             for _part, probs in _chunked_forward(params, net_config, testset)]
+    preds = np.concatenate(preds) if preds else np.zeros(0, dtype=bool)
     hit = testset.label == 1
     return ConfusionCounts(tp=int((hit & preds).sum()), tn=int((~hit & ~preds).sum()),
                            fp=int((~hit & preds).sum()), fn=int((hit & ~preds).sum()))

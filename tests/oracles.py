@@ -17,8 +17,11 @@ A layer is a field -> array map (`w_xi`, ..., `b_o`), as the core sees it.
 premasked gives the weights a Monte-Carlo dropout pass should apply at every
 time step; an unmasked forward on them is the mask-constancy reference.
 
-render_frame ray-casts one frame over its full pixel grid; the simulator's
-window renderer must equal it.
+render_frame ray-casts one frame over its full pixel grid in float
+intensities (sky 0.0, ground 0.25, vehicle 1.0), and quantize_image maps a
+float image to DPMD storage bytes, round(255 * intensity); the simulator's
+window renderer, which writes those bytes itself, must equal the two
+together.
 
 step_world advances both vehicles by one tick, and tick_states and
 tick_scenario run a whole episode one tick at a time with it; the
@@ -36,7 +39,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from crashcast.data import DASHCAM_MOUNT, frame_dtype, quantize_image
+from crashcast.data import DASHCAM_MOUNT, frame_dtype
 from crashcast.network import _channels_last, _core_input, _layer, _layer_forward, sigmoid
 from crashcast.sim import (
     CAMERA_ORDER,
@@ -181,6 +184,14 @@ def premasked(params, masks):
     return out
 
 
+def quantize_image(img):
+    """Map a float image in [0, 1] to storage bytes: rint(255 * img), clipped to [0, 255]."""
+    q = np.multiply(img, 255.0)
+    np.rint(q, out=q)
+    np.clip(q, 0, 255, out=q)
+    return q.astype(np.uint8)
+
+
 def render_frame(sensor, other, cam, world):
     """Ray-cast one camera view; returns a (rows, cols) image in [0, 1]."""
     ch, sh = _unit(sensor.heading)
@@ -197,7 +208,7 @@ def render_frame(sensor, other, cam, world):
     dy = focal * sc + uu * cc
 
     img = np.zeros((cam.rows, cam.cols))
-    img[dz < 0] = world.ground_intensity
+    img[dz < 0] = 0.25
 
     if other is not None:
         cb, sb = _unit(other.heading)
@@ -221,13 +232,13 @@ def render_frame(sensor, other, cam, world):
             t_near = np.maximum(t_near, np.minimum(t1, t2))
             t_far = np.minimum(t_far, np.maximum(t1, t2))
         hit = (t_near <= t_far) & (t_near > 0.0)
-        img[hit] = world.vehicle_intensity
+        img[hit] = 1.0
     return img
 
 
 def pack_frames(episode, horizon):
     """Frame records of the frames within `horizon` seconds up to the episode's
-    event: each camera's images stacked frame by frame and quantized, and the
+    event: each camera's images stacked frame by frame, and the
     state vector built from one tuple per frame. A window with no frame gives
     zero records of the dtype a non-empty one would have."""
     lo, hi = episode.event_time - horizon - 1e-9, episode.event_time + 1e-9
@@ -238,8 +249,7 @@ def pack_frames(episode, horizon):
     if not kept:
         return frames
     for ci, cam in enumerate(cameras):
-        window = np.stack([episode.images[cam][i] for i in kept])
-        frames.images[:, ci] = quantize_image(window)
+        frames.images[:, ci] = np.stack([episode.images[cam][i] for i in kept])
     for j, i in enumerate(kept):
         f = episode.frames[i]
         frames.state[j] = (*DASHCAM_MOUNT, f.x, f.y, 0.0, f.speed, f.torque_cmd,

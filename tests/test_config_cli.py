@@ -15,6 +15,8 @@ from crashcast.checkpoint import (
 )
 from crashcast.cli import main
 from crashcast.config import (
+    MAX_BINS,
+    MAX_EPISODES_PER_SCENARIO,
     REGISTRY,
     ConfigError,
     RunConfig,
@@ -148,6 +150,10 @@ BAD_SETTINGS = [
     ("eval.sigma_lo=-1", "'eval.sigma_lo'"),
     ("eval.peak_mass_frac=5", "'eval.peak_mass_frac'"),
     ("eval.valley_ratio=-3", "'eval.valley_ratio'"),
+    # each parsed, then asked numpy for tens of GiB: predict after every pass,
+    # in its histogram, and gen-data when it drew the delays
+    ("eval.bins=10000000000", "'eval.bins'"),
+    ("sim.episodes_per_scenario=10000000000", "'sim.episodes_per_scenario'"),
 ]
 
 
@@ -159,6 +165,16 @@ def test_bad_value_rejected_at_parse_time(setting, names):
     assert names in str(err.value)
     if key in names:
         assert "conf.txt:1" in str(err.value)
+
+
+def test_size_caps_admit_their_limit():
+    """eval.bins and sim.episodes_per_scenario parse at their caps and fail one past them."""
+    for key, cap in (("eval.bins", MAX_BINS),
+                     ("sim.episodes_per_scenario", MAX_EPISODES_PER_SCENARIO)):
+        section, name = key.split(".")
+        assert getattr(getattr(parse_config(f"{key} = {cap}"), section), name) == cap
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(f"{key} = {cap + 1}")
 
 
 def _float_defaults():
@@ -484,8 +500,8 @@ def predict_inputs(tmp_path_factory):
 
 
 # predict is the command that reads eval.bins
-CLI_BAD_SETTINGS = ([("gen-data", s, n) for s, n in BAD_SETTINGS if s != "eval.bins=0"]
-                    + [("predict", "eval.bins=0", "'eval.bins'")])
+CLI_BAD_SETTINGS = [("predict" if s.startswith("eval.bins=") else "gen-data", s, n)
+                    for s, n in BAD_SETTINGS]
 
 
 @pytest.mark.parametrize("command, setting, names", CLI_BAD_SETTINGS,

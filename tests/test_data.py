@@ -1,11 +1,12 @@
 """Dataset pipeline tests: truncation, windowing, folding, and the file format."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from oracles import pack_frames
+from oracles import pack_frames, quantize_image
 
 from crashcast.data import (
     HEADER_SIZE,
@@ -13,7 +14,6 @@ from crashcast.data import (
     assemble_dataset,
     deserialize_dataset,
     frame_dtype,
-    quantize_image,
     read_meta,
     sample_dtype,
     serialize_dataset,
@@ -273,8 +273,33 @@ def test_dataset_byte_fuzz_raises_typed_error_or_reloads_exactly(tmp_path):
         assert resaved.read_bytes() == case
 
 
+# sha256 of what gen-data writes at seed 5, 16x16, 3 episodes per scenario, stride 5
+GEN_DATA_SHA256 = {
+    "": "80a36bbb1ead68ec0d48a708727abbb8d0f1b7c5452ab55f25f0e769ed159711",
+    ".meta.csv": "1a471790e18067afad3aa7d89dd3acc8ea458e31b16502b94d460cc1419dffbc",
+    ".gen.csv": "7ba1d38d3a54f1f6f770fd9c56b02f99f17d1cb7e73531431b2482d6f827c084",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_gen_data_bytes_are_pinned(tmp_path, capsys, jobs):
+    """gen-data's DPMD file and both sidecars hash to fixed values, at any --jobs.
+
+    A change that alters any of these bytes must say in CHANGES.md which
+    outputs change and why before it updates the hashes here.
+    """
+    out = tmp_path / "d.dpmd"
+    assert cli_main(["gen-data", "--seed", "5", "--jobs", jobs, "--out", str(out),
+                     "--set", "sim.image_size=16", "--set", "sim.episodes_per_scenario=3",
+                     "--set", "data.window_stride=5"]) == 0
+    capsys.readouterr()
+    got = {suffix: hashlib.sha256((tmp_path / f"d.dpmd{suffix}").read_bytes()).hexdigest()
+           for suffix in GEN_DATA_SHA256}
+    assert got == GEN_DATA_SHA256
+
+
 def test_quantize_image_stable_fixed_points():
-    # k/255 values are fixed points of the quantize/dequantize pair
+    # k/255 values are fixed points of the oracle's quantize/dequantize pair
     k = np.arange(256, dtype=np.float64).reshape(16, 16, 1)
     img = k / 255.0
     assert (quantize_image(img)[:, :, 0] == k[:, :, 0]).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from crashcast.data import quantize_image, sample_dtype
+from crashcast.data import sample_dtype
 from crashcast.network import (
     NetworkConfig,
     dpm_forward,
@@ -222,7 +222,7 @@ def make_samples(rng, config, n, n_cams=3):
     for i in range(n):
         for t in range(config.seq_len):
             for c in range(n_cams):
-                frames["images"][i, t, c] = quantize_image(rng.uniform(0, 1, (rows, cols)))
+                frames["images"][i, t, c] = rng.integers(0, 256, (rows, cols), dtype=np.uint8)
             frames["state"][i, t] = rng.standard_normal(9)
             frames["action"][i, t] = rng.integers(0, 2)
         samples.label[i] = rng.integers(0, 2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import (
     pack_frames,
+    quantize_image,
     render_frame,
     step_world,
     tick_scenario,
@@ -123,10 +124,10 @@ def test_render_empty_frustum_has_no_vehicle_pixels():
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     behind = VehicleState(0.0, -100.0, math.pi / 2)
     img = render_camera(_window(sensor), _window(behind), cam)[0]
-    assert not (img == 1.0).any()
+    assert not (img == 255).any()
     # ground fills the lower half, sky the upper half
-    assert (img[16:, :] == 0.25).all()
-    assert (img[:16, :] == 0.0).all()
+    assert (img[16:, :] == 64).all()
+    assert (img[:16, :] == 0).all()
 
 
 def test_render_dead_ahead_blob_is_centred():
@@ -134,7 +135,7 @@ def test_render_dead_ahead_blob_is_centred():
     sensor = VehicleState(0.0, 0.0, math.pi / 2)
     other = VehicleState(0.0, 10.0, math.pi / 2)
     img = render_camera(_window(sensor), _window(other), cam)[0]
-    rows, cols = np.nonzero(img == 1.0)
+    rows, cols = np.nonzero(img == 255)
     assert len(cols) > 0
     assert abs(cols.mean() - (img.shape[1] - 1) / 2.0) <= 1.0
 
@@ -145,8 +146,8 @@ def test_render_values_and_determinism():
     a = render_camera(_window(sensor), _window(other), cam)[0]
     b = render_camera(_window(sensor), _window(other), cam)[0]
     assert (a == b).all()
-    assert a.shape == (32, 32)
-    assert set(np.unique(a)) <= {0.0, 0.25, 1.0}
+    assert a.shape == (32, 32) and a.dtype == np.uint8
+    assert set(np.unique(a).tolist()) <= {0, 64, 255}
 
 
 def test_camera_spec_validation():
@@ -347,7 +348,7 @@ def test_window_render_equals_per_frame_oracle(sid, side, rows, cols, d_star):
     assert max(map(len, windows)) == max(block + 1, 101)
     world = WorldConfig()
     for cam in default_cameras(rows, cols):
-        want = {id(s): render_frame(s, o, cam, world) for _t, s, o in states}
+        want = {id(s): quantize_image(render_frame(s, o, cam, world)) for _t, s, o in states}
         for window in windows + [kept_states]:
             got = render_camera(_window(*[s for _t, s, _o in window]),
                                 _window(*[o for _t, _s, o in window]), cam, world)
@@ -434,7 +435,8 @@ def test_run_scenario_equals_per_tick_oracle(sid, world, dt):
             assert type(ep.event_time) is float
             assert ep.frames.dtype == frames.dtype and ep.frames.tobytes() == frames.tobytes()
             for cam in cams:
-                want = np.stack([render_frame(s, o, cam, world) for _t, s, o in states])
+                want = quantize_image(np.stack([render_frame(s, o, cam, world)
+                                                for _t, s, o in states]))
                 assert ep.images[cam.name].tobytes() == want.tobytes()
             labels.add(label)
     assert labels == ({0, 1} if sid in (1, 2) else {int(sid == 4)})
