@@ -26,6 +26,12 @@ input-to-gate term of a layer is computed for the whole sequence in one
 matrix product. The test suite checks each step against a straight-line
 transcription of the gate equations built from exact-order oracle ops, and
 all gradients against central differences.
+
+A batch runs as consecutive blocks of BLOCK samples, one thread per core
+(parallel.thread_map) with OpenBLAS on one thread. A batch's probabilities
+are its blocks' probabilities in order, and its gradient is the sum of its
+blocks' gradients taken in block order, so every result depends on the
+constant BLOCK and on neither the core count nor the BLAS thread setting.
 """
 
 import math
@@ -33,7 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import thread_map
 from .sim import CAMERA_ORDER
+
+BLOCK = 16  # samples per forward/backward block; see the module docstring
 
 GATES = ("i", "f", "c", "o")
 
@@ -526,15 +535,26 @@ def inputs_from_samples(config, samples):
     return images, states
 
 
+def _masked(params, masks):
+    """params with each mask multiplied into its named tensor, or params itself."""
+    if not masks:
+        return params
+    return NetworkParams({name: t * masks[name] if name in masks else t
+                          for name, t in params.tensors().items()})
+
+
+def _blocks(n):
+    """Slices of the consecutive BLOCK-sample blocks of an n-sample batch."""
+    return [slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK)]
+
+
 def _forward_batch(params, config, images, states, masks=None, cache=None):
     """Run the network on stacked inputs; returns (B, 2) probabilities.
 
     Each mask multiplies its named tensor once per pass, so every time step
     sees the same weights.
     """
-    tensors = params.tensors()
-    if masks:
-        tensors = {name: t * masks[name] if name in masks else t for name, t in tensors.items()}
+    tensors = _masked(params, masks).tensors()
     feats = []
     for cam in config.cameras:
         layers = [_layer(tensors, f"cam.{cam}.l{li}") for li in range(len(config.conv_filters))]
@@ -579,8 +599,17 @@ def _forward_batch(params, config, images, states, masks=None, cache=None):
 
 
 def dpm_forward_batch(params, config, samples, masks=None):
-    images, states = inputs_from_samples(config, samples)
-    return _forward_batch(params, config, images, states, masks)
+    """(B, 2) probabilities for a batch of sample records, run in BLOCK-sample
+    blocks that share one masked copy of the weights."""
+    samples = np.asarray(samples)
+    if not len(samples):
+        raise ValueError("empty sample batch")
+    params = _masked(params, masks)
+
+    def block(part):
+        return _forward_batch(params, config, *inputs_from_samples(config, samples[part]))
+
+    return np.concatenate(thread_map(block, _blocks(len(samples))))
 
 
 def dpm_forward(params, config, sample, masks=None):
@@ -606,48 +635,59 @@ def sample_losses(probs, labels):
 def dpm_gradients(params, config, samples, labels, masks=None):
     """Mean cross-entropy over the batch and exact BPTT gradients.
 
-    labels: 1 = collision, 0 = no collision (see _true_class).
+    labels: 1 = collision, 0 = no collision (see _true_class). Each block
+    runs forward and backward on its own, its loss gradient scaled by the
+    size of the whole batch; the blocks' gradients are summed in block order
+    and the masks multiply the sum.
     """
+    samples, labels = np.asarray(samples), np.asarray(labels)
     if len(samples) == 0:
         raise ValueError("empty sample batch")
     if len(labels) != len(samples):
         raise ValueError("labels must match samples")
-    images, states = inputs_from_samples(config, samples)
-    cache = {"conv": {}, "branch_shape": {}, "lstm": None, "head": None}
-    probs = _forward_batch(params, config, images, states, masks, cache)
     b = len(samples)
-    loss = float(sample_losses(probs, labels).mean())
+    masked = _masked(params, masks)
 
-    grads = zero_grads(params)
-    dlogits = probs.copy()
-    dlogits[np.arange(b), _true_class(labels)] -= 1.0
-    dlogits /= b
+    def block(part):
+        images, states = inputs_from_samples(config, samples[part])
+        cache = {"conv": {}, "branch_shape": {}, "lstm": None, "head": None}
+        probs = _forward_batch(masked, config, images, states, cache=cache)
+        grads = zero_grads(params)
+        dlogits = probs.copy()
+        dlogits[np.arange(len(probs)), _true_class(labels[part])] -= 1.0
+        dlogits /= b
 
-    feat, act, hidden, w_merge, w_out = cache["head"]
-    grads["head.w_out"] += dlogits.T @ hidden
-    grads["head.b_out"] += dlogits.sum(axis=0)
-    dhidden = dlogits @ w_out
-    dact = dhidden * (act > 0)
-    grads["head.w_merge"] += dact.T @ feat
-    grads["head.b_merge"] += dact.sum(axis=0)
-    dfeat = dact @ w_merge
+        feat, act, hidden, w_merge, w_out = cache["head"]
+        grads["head.w_out"] += dlogits.T @ hidden
+        grads["head.b_out"] += dlogits.sum(axis=0)
+        dhidden = dlogits @ w_out
+        dact = dhidden * (act > 0)
+        grads["head.w_merge"] += dact.T @ feat
+        grads["head.b_merge"] += dact.sum(axis=0)
+        dfeat = dact @ w_merge
 
-    offset = 0
-    for cam in config.cameras:
-        shape = cache["branch_shape"][cam]
-        width = int(np.prod(shape[1:]))
-        d_out = dfeat[:, offset : offset + width].reshape(shape).transpose(3, 0, 1, 2)[:, None]
-        offset += width
-        for li in range(len(config.conv_filters) - 1, -1, -1):
-            # the first layer's input is the image sequence: its gradient is never used
-            d_out = _layer_backward(cache["conv"][(cam, li)], d_out,
-                                    _layer(grads, f"cam.{cam}.l{li}"), need_dx=li > 0)
-    if config.has_state_branch:
-        dh = dfeat[:, offset:].T[:, None, :, None, None]  # (u, 1, B, 1, 1)
-        _layer_backward(cache["lstm"], dh, _layer(grads, "lstm"), need_dx=False)
+        offset = 0
+        for cam in config.cameras:
+            shape = cache["branch_shape"][cam]
+            width = int(np.prod(shape[1:]))
+            d_out = dfeat[:, offset : offset + width].reshape(shape).transpose(3, 0, 1, 2)[:, None]
+            offset += width
+            for li in range(len(config.conv_filters) - 1, -1, -1):
+                # the first layer's input is the image sequence: its gradient is never used
+                d_out = _layer_backward(cache["conv"][(cam, li)], d_out,
+                                        _layer(grads, f"cam.{cam}.l{li}"), need_dx=li > 0)
+        if config.has_state_branch:
+            dh = dfeat[:, offset:].T[:, None, :, None, None]  # (u, 1, B, 1, 1)
+            _layer_backward(cache["lstm"], dh, _layer(grads, "lstm"), need_dx=False)
+        return sample_losses(probs, labels[part]), grads
 
+    parts = thread_map(block, _blocks(b))
+    grads = parts[0][1]
+    for _losses, more in parts[1:]:
+        for name, g in more.items():
+            grads[name] += g
     if masks:
         for name, m in masks.items():
             if name in grads:
                 grads[name] *= m
-    return loss, grads
+    return float(np.concatenate([losses for losses, _ in parts]).mean()), grads

@@ -10,9 +10,10 @@ holds a NaN or an infinity.
 run_kfold takes its folds as one array, which fold_assignment builds from
 each sample's group (its episode, or itself). The fold fits are
 independent; parallel.fork_map runs them in forked processes that inherit
-the fit closure. Each fold fit runs with OpenBLAS pinned to one thread, so
-fold results do not depend on the worker count or on the inherited BLAS
-thread setting.
+the fit closure. Each fold fit runs with OpenBLAS pinned to one thread, and
+inside that pin the network runs a batch's blocks one after another (each
+worker holds one core), so fold results do not depend on the worker count
+or on the inherited BLAS thread setting.
 """
 
 import math
@@ -103,17 +104,9 @@ def apply_update(params, grads, state, config):
     return params, state
 
 
-def _chunked_forward(params, net_config, samples, chunk=64):
-    """(part, probs) for each chunk of samples in order: a deterministic forward."""
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo : lo + chunk]
-        yield part, dpm_forward_batch(params, net_config, part)
-
-
 def _mean_val_loss(params, net_config, valset):
-    total = sum(float(sample_losses(probs, part.label).sum())
-                for part, probs in _chunked_forward(params, net_config, valset))
-    return total / len(valset)
+    probs = dpm_forward_batch(params, net_config, valset)
+    return float(sample_losses(probs, valset.label).mean())
 
 
 def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_seed=0):
@@ -185,9 +178,7 @@ def train(params, net_config, config, trainset, valset, dropout_spec=None, rng_s
 def evaluate(params, net_config, testset, threshold=0.5):
     """ConfusionCounts of a deterministic forward (no dropout) over testset;
     collision iff P(collision) >= threshold."""
-    preds = [probs[:, 0] >= threshold
-             for _part, probs in _chunked_forward(params, net_config, testset)]
-    preds = np.concatenate(preds) if preds else np.zeros(0, dtype=bool)
+    preds = dpm_forward_batch(params, net_config, testset)[:, 0] >= threshold
     hit = testset.label == 1
     return ConfusionCounts(tp=int((hit & preds).sum()), tn=int((~hit & ~preds).sum()),
                            fp=int((~hit & preds).sum()), fn=int((hit & ~preds).sum()))

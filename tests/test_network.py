@@ -1,10 +1,14 @@
 """Network step/gradient tests against transcription and finite-difference oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import oracles
+from crashcast import network, parallel
 from crashcast.data import sample_dtype
+from crashcast.dropout import DropoutSpec, sample_masks
 from crashcast.network import (
     NetworkConfig,
     dpm_forward,
@@ -13,6 +17,7 @@ from crashcast.network import (
     init_params,
     inputs_from_samples,
     param_shapes,
+    sample_losses,
     sigmoid,
     zero_grads,
 )
@@ -362,16 +367,18 @@ def test_images_only_has_no_state_branch_parameters():
     assert not any(name.startswith("lstm.") for name in grads)
 
 
-def relative_gradient_errors(params, config, samples, labels, eps=1e-4):
-    """Max relative error per tensor between BPTT and central differences."""
+def relative_gradient_errors(params, config, samples, labels, eps=1e-4, loss=None):
+    """Max relative error per tensor between BPTT and central differences of
+    loss() (by default the loss dpm_gradients returns)."""
     _, grads = dpm_gradients(params, config, samples, labels)
+    loss = loss or (lambda: dpm_gradients(params, config, samples, labels)[0])
     errs = {}
     for name, tensor in params.tensors().items():
         original = tensor.copy()
 
         def loss_with(values, _t=tensor):
             _t[...] = values
-            out = dpm_gradients(params, config, samples, labels)[0]
+            out = loss()
             _t[...] = original
             return out
 
@@ -445,3 +452,58 @@ def test_params_copy_is_deep():
     clone = params.copy()
     clone.tensors()["head.w_out"][...] = 123.0
     assert not (params.tensors()["head.w_out"] == 123.0).any()
+
+
+def _three_block_case():
+    """A tiny network away from its symmetric init and a 40-sample batch: blocks of 16, 16, 8."""
+    config = tiny_config()
+    params = init_params(config, seed=13)
+    rng = np.random.default_rng(23)
+    for t in params.tensors().values():
+        t += rng.standard_normal(t.shape) * 0.05
+    samples = make_samples(rng, config, 40)
+    assert network.BLOCK == 16
+    return config, params, samples, samples.label.astype(np.int64)
+
+
+def test_three_block_gradients_match_finite_differences():
+    config, params, samples, labels = _three_block_case()
+
+    def loss():  # the mean loss of a forward alone, which costs less than a gradient
+        return float(sample_losses(dpm_forward_batch(params, config, samples), labels).mean())
+
+    worst = max(relative_gradient_errors(params, config, samples, labels, loss=loss).values())
+    assert worst <= 1e-4, f"worst relative gradient error {worst:.3e}"
+
+
+def test_three_block_batch_equals_its_blocks_run_serially(monkeypatch):
+    config, params, samples, labels = _three_block_case()
+    masks = sample_masks(DropoutSpec(rate=0.2), params, 3).masks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the block threads as finely as possible
+    try:
+        threaded = [dpm_gradients(params, config, samples, labels, masks),
+                    dpm_forward_batch(params, config, samples, masks)]
+    finally:
+        sys.setswitchinterval(interval)
+    blocks = []
+
+    def serial(fn, items):  # the same blocks, one after another on this thread
+        blocks.append([(s.start, min(s.stop, len(samples))) for s in items])
+        with parallel.one_blas_thread():
+            return [fn(s) for s in items]
+
+    monkeypatch.setattr(network, "thread_map", serial)
+    loss, grads = dpm_gradients(params, config, samples, labels, masks)
+    probs = dpm_forward_batch(params, config, samples, masks)
+    assert blocks == [[(0, 16), (16, 32), (32, 40)]] * 2
+    assert loss == threaded[0][0]
+    assert list(grads) == list(threaded[0][1])
+    for name, g in grads.items():
+        assert g.tobytes() == threaded[0][1][name].tobytes(), name
+    assert probs.tobytes() == threaded[1].tobytes()
+    # the batch's forward is its blocks' forwards, concatenated
+    parts = [dpm_forward_batch(params, config, samples[lo:hi], masks)
+             for lo, hi in blocks[0]]
+    assert probs.tobytes() == np.concatenate(parts).tobytes()
+    assert loss == float(sample_losses(probs, labels).mean())

@@ -2,12 +2,13 @@
 
 import math
 import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from crashcast import parallel, training
+from crashcast import network, parallel, training
 from crashcast.network import init_params, sample_losses
 from crashcast.report import read_csv
 from crashcast.stats import ConfusionCounts
@@ -433,6 +434,31 @@ def test_run_kfold_fits_folds_on_one_blas_thread(tmp_path, monkeypatch):
     assert [threads for _pid, threads in fits] == ["1"] * 4
     assert {pid for pid, _ in fits[:2]} == {str(os.getpid())}
     assert str(os.getpid()) not in {pid for pid, _ in fits[2:]}
+
+
+def test_run_kfold_workers_start_no_threads(tmp_path, monkeypatch):
+    """At --jobs 2 each forked fold worker holds one of the two cores, so its
+    multi-block batches run serially: no thread pool inside fork_map workers."""
+    log = tmp_path / "threads.log"
+    real_forward = network._forward_batch
+
+    def logging_forward(*args, **kwargs):
+        with open(log, "a") as fh:  # forked workers append here too
+            fh.write(f"{os.getpid()} {threading.active_count()}\n")
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(network, "_forward_batch", logging_forward)
+    config = tiny_config()
+    rng = np.random.default_rng(24)
+    samples = make_samples(rng, config, 48)
+    folds = fold_assignment(np.arange(len(samples)), 2, rng_seed=9)
+    tc = TrainConfig(batch_size=20, max_iterations=2, validation_interval=1,
+                     patience=2, dropout_in_training=False)
+    run_kfold(samples, folds, config, tc, rng_seed=9, jobs=2)
+    calls = [line.split() for line in log.read_text().splitlines()]
+    pids = {pid for pid, _ in calls}
+    assert len(pids) == 2 and str(os.getpid()) not in pids
+    assert {count for _pid, count in calls} == {"1"}
 
 
 def test_experiment_folds_do_not_depend_on_jobs(tmp_path, capsys):
