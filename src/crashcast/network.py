@@ -23,9 +23,11 @@ masks and the optimizer state use the same names. All layers, the vector
 LSTM included (as a 1x1 layer), run on one channels-first core (see the
 section comment below): convolutions are im2col + matmul, and the
 input-to-gate term of a layer is computed for the whole sequence in one
-matrix product. The test suite checks each step against a straight-line
-transcription of the gate equations built from exact-order oracle ops, and
-all gradients against central differences.
+matrix product. Each camera's stack and the state LSTM (a one-layer branch)
+are branches (_branches) that the forward and the backward walk in one loop,
+each fed its input in the core's layout. The test suite checks each step
+against a straight-line transcription of the gate equations built from
+exact-order oracle ops, and all gradients against central differences.
 
 A batch runs as consecutive blocks of BLOCK samples, one thread per core
 (parallel.thread_map) with OpenBLAS on one thread. A batch's probabilities
@@ -500,39 +502,53 @@ def _layer_backward(run, dh_out, grads, need_dx):
     return dxp[..., a : hp - a, b : wp - b]
 
 
-def _core_input(x, layer):
-    """Channels-last (B, L, H, W, c) sequence -> padded channels-first (c, L, B, ., .)."""
-    return _repad(x.transpose(4, 1, 0, 2, 3), (0, 0), _kernel_pad(layer))
-
-
 # --- full network ------------------------------------------------------------
 
-def inputs_from_samples(config, samples):
-    """Per-branch float64 batch arrays from DPMD sample records.
+def _branches(config):
+    """(layer prefixes, strides) of each recurrent branch, in the head's feature
+    order: each camera's ConvLSTM stack, then the state LSTM as one 1x1 layer."""
+    n = len(config.conv_filters)
+    branches = [([f"cam.{cam}.l{li}" for li in range(n)], config.conv_strides)
+                for cam in config.cameras]
+    if config.has_state_branch:
+        branches.append((["lstm"], (1,)))
+    return branches
 
-    Returns (images: dict cam -> (B, L, q, r, c), states: (B, L, d) or None).
-    Images are promoted from their uint8 storage form to [0, 1]; state
-    values, with the action appended in images_state_action mode, from float32.
+
+def inputs_from_samples(config, samples):
+    """Each branch's core input from DPMD sample records, in _branches order.
+
+    A camera's is (1, L, B, H+2a, W+2a) with a = conv_kernels[0] // 2: its
+    uint8 storage bytes / 255 inside a zero border. The state branch's is
+    (d, L, B, 1, 1): the float32 state values, with the action appended in
+    images_state_action mode, in float64.
     """
     frames = np.asarray(samples)["frames"]
     if not len(frames):
         raise ValueError("empty sample batch")
-    if frames.shape[1] != config.seq_len:
-        raise ValueError(f"sample has {frames.shape[1]} frames, network expects "
-                         f"{config.seq_len}")
-    stored = CAMERA_ORDER[: frames.dtype["images"].shape[0]]
-    images = {}
+    batch, length = frames.shape
+    if length != config.seq_len:
+        raise ValueError(f"sample has {length} frames, network expects {config.seq_len}")
+    n_stored, rows, cols = frames.dtype["images"].shape
+    if (rows, cols) != (config.image_rows, config.image_cols):
+        raise ValueError(f"sample images are {rows}x{cols}, network expects "
+                         f"{config.image_rows}x{config.image_cols}")
+    stored = CAMERA_ORDER[:n_stored]
+    a = config.conv_kernels[0] // 2
+    inputs = []
     for cam in config.cameras:
         if cam not in stored:
             raise ValueError(f"sample is missing camera {cam!r} required by the network config")
-        images[cam] = frames["images"][:, :, stored.index(cam), :, :, None] / 255.0
-    states = None
-    if config.input_mode == "images_state":
-        states = frames["state"].astype(np.float64)
-    elif config.input_mode == "images_state_action":
-        states = np.concatenate([frames["state"], frames["action"][..., None]], axis=2,
-                                dtype=np.float64)
-    return images, states
+        xp = np.zeros((1, length, batch, rows + 2 * a, cols + 2 * a))
+        np.divide(frames["images"][:, :, stored.index(cam)].transpose(1, 0, 2, 3), 255.0,
+                  out=xp[0, :, :, a : a + rows, a : a + cols])
+        inputs.append(xp)
+    if config.has_state_branch:
+        columns = [frames["state"]]
+        if config.input_mode == "images_state_action":
+            columns.append(frames["action"][..., None])
+        inputs.append(np.concatenate(columns, axis=2, dtype=np.float64).T[..., None, None])
+    return inputs
 
 
 def _masked(params, masks):
@@ -548,41 +564,24 @@ def _blocks(n):
     return [slice(lo, lo + BLOCK) for lo in range(0, n, BLOCK)]
 
 
-def _forward_batch(params, config, images, states, masks=None, cache=None):
-    """Run the network on stacked inputs; returns (B, 2) probabilities.
-
-    Each mask multiplies its named tensor once per pass, so every time step
-    sees the same weights.
-    """
-    tensors = _masked(params, masks).tensors()
+def _forward_batch(params, config, inputs, cache=None):
+    """Run the network on the branch inputs of inputs_from_samples; returns
+    (B, 2) probabilities. A cache gets every layer run, branch by branch, in
+    "runs" and the head's operands in "head"."""
+    tensors = params.tensors()
     feats = []
-    for cam in config.cameras:
-        layers = [_layer(tensors, f"cam.{cam}.l{li}") for li in range(len(config.conv_filters))]
-        xp = _core_input(images[cam], layers[0])
-        for li, (layer, stride, seqs) in enumerate(zip(layers, config.conv_strides,
-                                                       config.conv_return_sequences)):
+    for (prefixes, strides), xp in zip(_branches(config), inputs):
+        layers = [_layer(tensors, prefix) for prefix in prefixes]
+        for li, (layer, stride) in enumerate(zip(layers, strides)):
             run = _layer_forward(layer, xp, stride, keep_cols=cache is not None)
             if cache is not None:
-                cache["conv"][(cam, li)] = run
-            # the next layer sees every hidden state, or only the last one
-            out = run.hs[:, 1:] if seqs else run.hs[:, -1:]
+                cache["runs"].append(run)
             h_last = run.hidden(-1)
+            if li + 1 < len(layers):  # every layer but the last hands on its whole sequence
+                xp = _repad(run.hs[:, 1:], _kernel_pad(layer), _kernel_pad(layers[li + 1]))
             del run  # without a cache, frees the gates before the next layer runs
-            if li + 1 < len(layers):
-                xp = _repad(out, _kernel_pad(layer), _kernel_pad(layers[li + 1]))
         h_out = _channels_last(h_last)
         feats.append(h_out.reshape(h_out.shape[0], -1))
-        if cache is not None:
-            cache["branch_shape"][cam] = h_out.shape
-    if config.has_state_branch:
-        if states is None:
-            raise ValueError(f"input mode {config.input_mode!r} requires state sequences")
-        layer = _layer(tensors, "lstm")
-        # (B, L, d) -> (d, L, B, 1, 1): one 1x1 layer that returns its last state
-        run = _layer_forward(layer, states.T[..., None, None], keep_cols=cache is not None)
-        feats.append(run.hidden(-1)[:, :, 0, 0].T)
-        if cache is not None:
-            cache["lstm"] = run
     feat = np.concatenate(feats, axis=1)
     w_merge, w_out = tensors["head.w_merge"], tensors["head.w_out"]
     if feat.shape[1] != w_merge.shape[1]:
@@ -607,7 +606,7 @@ def dpm_forward_batch(params, config, samples, masks=None):
     params = _masked(params, masks)
 
     def block(part):
-        return _forward_batch(params, config, *inputs_from_samples(config, samples[part]))
+        return _forward_batch(params, config, inputs_from_samples(config, samples[part]))
 
     return np.concatenate(thread_map(block, _blocks(len(samples))))
 
@@ -649,9 +648,8 @@ def dpm_gradients(params, config, samples, labels, masks=None):
     masked = _masked(params, masks)
 
     def block(part):
-        images, states = inputs_from_samples(config, samples[part])
-        cache = {"conv": {}, "branch_shape": {}, "lstm": None, "head": None}
-        probs = _forward_batch(masked, config, images, states, cache=cache)
+        cache = {"runs": []}
+        probs = _forward_batch(masked, config, inputs_from_samples(config, samples[part]), cache)
         grads = zero_grads(params)
         dlogits = probs.copy()
         dlogits[np.arange(len(probs)), _true_class(labels[part])] -= 1.0
@@ -666,19 +664,18 @@ def dpm_gradients(params, config, samples, labels, masks=None):
         grads["head.b_merge"] += dact.sum(axis=0)
         dfeat = dact @ w_merge
 
+        runs = iter(cache["runs"])
         offset = 0
-        for cam in config.cameras:
-            shape = cache["branch_shape"][cam]
-            width = int(np.prod(shape[1:]))
-            d_out = dfeat[:, offset : offset + width].reshape(shape).transpose(3, 0, 1, 2)[:, None]
-            offset += width
-            for li in range(len(config.conv_filters) - 1, -1, -1):
-                # the first layer's input is the image sequence: its gradient is never used
-                d_out = _layer_backward(cache["conv"][(cam, li)], d_out,
-                                        _layer(grads, f"cam.{cam}.l{li}"), need_dx=li > 0)
-        if config.has_state_branch:
-            dh = dfeat[:, offset:].T[:, None, :, None, None]  # (u, 1, B, 1, 1)
-            _layer_backward(cache["lstm"], dh, _layer(grads, "lstm"), need_dx=False)
+        for prefixes, _strides in _branches(config):
+            branch = [next(runs) for _ in prefixes]
+            p, batch, q, r = branch[-1].hidden(-1).shape  # the head reads the last state only
+            d_out = dfeat[:, offset : offset + p * q * r].reshape(batch, q, r, p)
+            d_out = d_out.transpose(3, 0, 1, 2)[:, None]  # (p, 1, B, q', r')
+            offset += p * q * r
+            for li in range(len(branch) - 1, -1, -1):
+                # a branch's first input is its data sequence: its gradient is never used
+                d_out = _layer_backward(branch[li], d_out, _layer(grads, prefixes[li]),
+                                        need_dx=li > 0)
         return sample_losses(probs, labels[part]), grads
 
     parts = thread_map(block, _blocks(b))

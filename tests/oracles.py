@@ -40,7 +40,7 @@ from dataclasses import replace
 import numpy as np
 
 from crashcast.data import DASHCAM_MOUNT, frame_dtype
-from crashcast.network import _channels_last, _core_input, _layer, _layer_forward, sigmoid
+from crashcast.network import _channels_last, _kernel_pad, _layer, _layer_forward, _repad, sigmoid
 from crashcast.sim import (
     CAMERA_ORDER,
     FRAME_DTYPE,
@@ -149,6 +149,11 @@ def finite_diff_gradient(f, x, eps=1e-4):
         xf[i] = orig
         flat[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def _core_input(x, layer):
+    """Channels-last (B, L, H, W, c) sequence -> padded channels-first (c, L, B, ., .)."""
+    return _repad(x.transpose(4, 1, 0, 2, 3), (0, 0), _kernel_pad(layer))
 
 
 def convlstm_steps(layer, xs, stride=1):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crashcast.cli import main
-from crashcast.network import inputs_from_samples
+from crashcast.network import dpm_forward_batch, init_params, inputs_from_samples
 
 from test_network import make_samples, tiny_config
 
@@ -20,6 +20,14 @@ def test_sequence_length_mismatch_rejected():
     sample = make_samples(rng, longer, 1)[0]
     with pytest.raises(ValueError):
         inputs_from_samples(config, [sample])
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 4), (8, 8)])
+def test_image_size_mismatch_rejected(rows, cols):
+    config = tiny_config()  # 4x4 images
+    sample = make_samples(np.random.default_rng(2), tiny_config(rows=rows, cols=cols), 1)[0]
+    with pytest.raises(ValueError, match=f"sample images are {rows}x{cols}, network expects 4x4"):
+        dpm_forward_batch(init_params(config), config, [sample])
 
 
 GEN8 = [

@@ -1,5 +1,7 @@
 """Network step/gradient tests against transcription and finite-difference oracles."""
 
+import importlib.util
+import pathlib
 import sys
 
 import numpy as np
@@ -204,7 +206,7 @@ def test_lstm_matches_transcription_oracle():
 
 
 def tiny_config(input_mode="images_state_action", cameras=("dashcam",), rows=4, cols=4, seq_len=2,
-                strides=(1, 2)):
+                strides=(1, 2), kernels=(3, 3)):
     return NetworkConfig(
         input_mode=input_mode,
         cameras=cameras,
@@ -212,7 +214,7 @@ def tiny_config(input_mode="images_state_action", cameras=("dashcam",), rows=4, 
         image_cols=cols,
         seq_len=seq_len,
         conv_filters=(2, 2),
-        conv_kernels=(3, 3),
+        conv_kernels=kernels,
         conv_strides=strides,
         lstm_units=3,
         merge_units=4,
@@ -258,11 +260,14 @@ def test_forward_is_deterministic_and_normalized():
 
 
 # the camera-sweep strides, an odd non-square image (ceil-division output
-# dims at the stride-2 layer) and a two-camera network
+# dims at the stride-2 layer), a two-camera network, and unequal kernels (a
+# first-layer border other than 1, a re-border between layers)
 SHAPE_VARIANTS = {
     "strides_2_1": dict(strides=(2, 1)),
     "odd_5x7": dict(rows=5, cols=7),
     "two_cameras": dict(cameras=("left_mirror", "dashcam")),
+    "kernels_5_3": dict(kernels=(5, 3)),
+    "kernels_1_3": dict(kernels=(1, 3)),
 }
 
 
@@ -284,19 +289,58 @@ def test_forward_batch_matches_single_shapes(variant):
     check_forward_batch_matches_single(tiny_config(**SHAPE_VARIANTS[variant]))
 
 
+def _load_reference():
+    """perfbench/reference.py, loaded by path: a forward written from the gate
+    equations that shares no code with the package."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("variant", ["default"] + sorted(SHAPE_VARIANTS))
+@pytest.mark.parametrize("mode", network.INPUT_MODES)
+def test_forward_matches_independent_reference(mode, variant):
+    """The whole network against the reference forward, unmasked and masked: a
+    wrong branch order, camera index or state/action layout shows here, where
+    the finite-difference tests cannot see it."""
+    reference = _load_reference()
+    config = tiny_config(mode, **SHAPE_VARIANTS.get(variant, {}))
+    params = init_params(config, seed=25)
+    rng = np.random.default_rng(26)
+    for t in params.tensors().values():
+        t += rng.standard_normal(t.shape) * 0.05
+    samples = make_samples(rng, config, 3)
+    for masks in ({}, sample_masks(DropoutSpec(rate=0.3), params, 27).masks):
+        probs = dpm_forward_batch(params, config, samples, masks)
+        for p, frames in zip(probs[:, 0], samples["frames"]):
+            want = reference.reference_p_collision(
+                config, params.tensors(), masks, frames["images"],
+                frames["state"].astype(np.float64), frames["action"].astype(np.float64))
+            assert abs(p - want) <= 1e-12
+
+
 def test_inputs_promote_stored_values_exactly():
-    """Each camera is read at its CAMERA_ORDER position in the record; images are
+    """Each camera is read at its CAMERA_ORDER position in the record into the
+    interior of an exactly zero border of conv_kernels[0] // 2; images are
     uint8 / 255 and states the float32 values, then the action, in float64."""
-    config = tiny_config(cameras=("right_mirror", "left_mirror"))
+    config = tiny_config(cameras=("right_mirror", "left_mirror"), kernels=(5, 3))
     samples = make_samples(np.random.default_rng(21), config, 3)
-    images, states = inputs_from_samples(config, samples)
-    assert states.shape == (3, config.seq_len, 10) and states.dtype == np.float64
+    right, left, states = inputs_from_samples(config, samples)
+    a, rows, cols = 2, config.image_rows, config.image_cols
+    assert states.shape == (10, config.seq_len, 3, 1, 1) and states.dtype == np.float64
+    for image in (left, right):
+        assert image.shape == (1, config.seq_len, 3, rows + 2 * a, cols + 2 * a)
+        border = np.ones(image.shape, dtype=bool)
+        border[..., a : a + rows, a : a + cols] = False
+        assert image[border].tobytes() == bytes(8 * int(border.sum()))
     for b, s in enumerate(samples):
         for t, frame in enumerate(s["frames"]):
-            for cam, index in (("left_mirror", 0), ("right_mirror", 2)):
-                want = [[[float(v) / 255.0] for v in row] for row in frame["images"][index]]
-                assert images[cam][b, t].tolist() == want
-            assert states[b, t].tolist() == [float(v) for v in frame["state"]] + \
+            for image, index in ((left, 0), (right, 2)):
+                want = [[float(v) / 255.0 for v in row] for row in frame["images"][index]]
+                assert image[0, t, b, a : a + rows, a : a + cols].tolist() == want
+            assert states[:, t, b, 0, 0].tolist() == [float(v) for v in frame["state"]] + \
                 [float(frame["action"])]
 
 
