@@ -8,15 +8,15 @@ byte-identical primary outputs.
 main parses the configuration once, before the command runs, and every
 value is checked as it is parsed, so a bad value exits 1 naming its key
 before any work starts. A command that reads a dataset opens it through
-_open_dataset, which refuses a dataset the command's networks do not fit,
-and its provenance carries that dataset's hash. Only gen-data and
-experiment take --jobs; predict runs its passes on every core of its CPU
-affinity, with an output that does not depend on the core count. --jobs and
---sfp take positive counts. A gen-data task is a (scenario, delay) pair;
-experiment decides its folding once, from the .meta.csv episode ids or each
-sample's own index, and every sweep group is scored on that one fold plan.
+_open_dataset, which refuses a dataset the command's networks do not fit
+(network.check_samples), and its provenance carries that dataset's hash.
+Every command uses every core (parallel.py); gen-data and experiment take
+--jobs, a positive cap on their worker processes, and --sfp is positive. A
+gen-data task is a (scenario, delay) pair; experiment decides its folding
+once, from the .meta.csv episode ids or each sample's own index, and every
+sweep group is scored on that one fold plan.
 
-Exit codes: 0 success, 1 usage/config error, 2 data/model error.
+Exit codes: 0 success, 1 usage/config error, 2 data/model error or out of memory.
 """
 
 import argparse
@@ -31,7 +31,7 @@ from . import data as datamod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError
 from .dropout import mix64, run_sfp
-from .network import INPUT_MODES, init_params
+from .network import INPUT_MODES, check_samples, init_params
 from .parallel import fork_map
 from .report import (
     file_sha256,
@@ -99,10 +99,9 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="simulate episodes and write a dataset file")
     _add_common(p)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes simulating episodes (default 1, which leaves "
-                        "other cores idle: pass the core count; the output does not "
-                        "depend on it)")
+    p.add_argument("--jobs", type=_positive_int,
+                   help="worker processes simulating episodes (default one per core); "
+                        "the output does not depend on it")
     p.add_argument("--out", required=True, help="output dataset path (.dpmd)")
 
     p = sub.add_parser("train", help="train a model on a dataset")
@@ -118,9 +117,8 @@ def build_parser():
 
     p = sub.add_parser("experiment", help="k-fold sweep over input modes or cameras")
     _add_common(p)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes fitting folds (default 1); every fold fit runs on "
-                        "one BLAS thread, so 1 leaves other cores idle: pass the core count; "
+    p.add_argument("--jobs", type=_positive_int,
+                   help="worker processes fitting folds (default one per core); "
                         "the output does not depend on it")
     p.add_argument("--data", required=True)
     p.add_argument("--sweep", choices=("input_mode", "camera"), required=True)
@@ -214,15 +212,7 @@ def _open_dataset(path, *net_configs):
     """The dataset at path, refused unless every given network config fits it."""
     dataset = datamod.deserialize_dataset(path)
     for net_config in net_configs:
-        if (net_config.image_rows, net_config.image_cols) != (dataset.rows, dataset.cols):
-            raise ValueError(f"model expects {net_config.image_rows}x{net_config.image_cols} "
-                             f"images, dataset stores {dataset.rows}x{dataset.cols}")
-        if net_config.seq_len != dataset.seq_len:
-            raise ValueError(f"model expects {net_config.seq_len}-frame windows, "
-                             f"dataset stores {dataset.seq_len}")
-        for cam in net_config.cameras:
-            if cam not in dataset.cameras:
-                raise ValueError(f"dataset lacks camera {cam!r} required by the model")
+        check_samples(net_config, dataset.samples.frames)
     return dataset
 
 
@@ -490,6 +480,9 @@ def main(argv=None):
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

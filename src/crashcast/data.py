@@ -37,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import CAMERA_ORDER
+from .sim import CAMERA_ORDER, DASHCAM_MOUNT
 
 MAGIC = b"DPMD"
 VERSION = 1
 HEADER_SIZE = 22  # 4 magic + 4 version + 8 count + 1 L + 1 cams + 2 rows + 2 cols
 
-DASHCAM_MOUNT = (0.5, 0.0, 1.2)
+STATE_DIM = 9  # the proprioceptive state vector of a frame; see frame_dtype
 
 
 class DatasetFormatError(ValueError):
@@ -58,7 +58,7 @@ def frame_dtype(n_cams, rows, cols):
     """One frame of a sample record: the images of the first n_cams cameras of
     CAMERA_ORDER, the 9 state values (cam_x, cam_y, cam_z, veh_x, veh_y, veh_z,
     speed, torque, accelerator) and the action."""
-    return np.dtype([("images", np.uint8, (n_cams, rows, cols)), ("state", "<f4", (9,)),
+    return np.dtype([("images", np.uint8, (n_cams, rows, cols)), ("state", "<f4", (STATE_DIM,)),
                      ("action", "<f4")])
 
 
@@ -70,10 +70,6 @@ def sample_dtype(seq_len, n_cams, rows, cols):
 @dataclass
 class Dataset:
     samples: np.recarray  # one sample_dtype record per sample, in stored order
-    cameras: tuple
-    seq_len: int
-    rows: int
-    cols: int
 
 
 def truncate_episode(episode):
@@ -202,8 +198,7 @@ def deserialize_dataset(path):
     if bad.size:
         raise DatasetFormatError(f"label byte must be 0 or 1, got {samples.label[bad[0]]}",
                                  HEADER_SIZE + int(bad[0]) * dtype.itemsize)
-    return Dataset(samples=samples, cameras=CAMERA_ORDER[:n_cams], seq_len=seq_len,
-                   rows=rows, cols=cols)
+    return Dataset(samples=samples)
 
 
 # --- sidecar metadata (episode/scenario identity lives outside the format) ---

@@ -9,19 +9,17 @@ rescaling anywhere: a rate of zero is exactly the deterministic forward.
 
 Pass seeds derive from the run seed through a splitmix64-style avalanche
 mixer, so distributions are reproducible and individual passes independent.
-run_sfp splits its passes into contiguous ranges, one per core of the
-process's CPU affinity, and runs them in forked workers with OpenBLAS pinned
-to one thread, so its result depends on neither the worker count nor the
-inherited BLAS thread setting.
+run_sfp splits its passes into contiguous ranges, one per core, and maps
+them with parallel.fork_map, whose policy (see parallel.py) keeps its result
+independent of the core count and the BLAS thread setting.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import MASKABLE_FAMILIES, dpm_forward
-from .parallel import fork_map, one_blas_thread
+from .parallel import cores, fork_map
 
 _MASK64 = (1 << 64) - 1
 
@@ -96,10 +94,9 @@ def run_sfp(params, config, sample, spec, n, rng_seed):
         return [stochastic_forward(params, config, sample, spec, mix64(rng_seed, i))
                 for i in range(*span)]
 
-    jobs = min(len(os.sched_getaffinity(0)), n)
-    bounds = [n * w // jobs for w in range(jobs + 1)]
-    with one_blas_thread():
-        parts = fork_map(passes, list(zip(bounds[:-1], bounds[1:])), jobs)
+    ranges = min(cores(), n)
+    bounds = [n * w // ranges for w in range(ranges + 1)]
+    parts = fork_map(passes, list(zip(bounds[:-1], bounds[1:])))
     values = np.array([p for part in parts for p in part])
     outside = values[~((values >= 0.0) & (values <= 1.0))]
     if outside.size:

@@ -29,11 +29,11 @@ each fed its input in the core's layout. The test suite checks each step
 against a straight-line transcription of the gate equations built from
 exact-order oracle ops, and all gradients against central differences.
 
-A batch runs as consecutive blocks of BLOCK samples, one thread per core
-(parallel.thread_map) with OpenBLAS on one thread. A batch's probabilities
-are its blocks' probabilities in order, and its gradient is the sum of its
-blocks' gradients taken in block order, so every result depends on the
-constant BLOCK and on neither the core count nor the BLAS thread setting.
+A batch runs as consecutive blocks of BLOCK samples through
+parallel.thread_map (see parallel.py). A batch's probabilities are its
+blocks' probabilities in order, and its gradient is the sum of its blocks'
+gradients taken in block order, so every result depends on the constant
+BLOCK and on neither the core count nor the BLAS thread setting.
 """
 
 import math
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import STATE_DIM
 from .parallel import thread_map
 from .sim import CAMERA_ORDER
 
@@ -107,11 +108,9 @@ class NetworkConfig:
 
     @property
     def state_dim(self):
-        if self.input_mode == "images_state":
-            return 9
-        if self.input_mode == "images_state_action":
-            return 10
-        return 0
+        """Width of the state branch's input: the state vector, plus the action."""
+        return {"images_state": STATE_DIM,
+                "images_state_action": STATE_DIM + 1}.get(self.input_mode, 0)
 
     def layer_dims(self):
         """Spatial dims at the OUTPUT of each conv layer."""
@@ -515,6 +514,21 @@ def _branches(config):
     return branches
 
 
+def check_samples(config, frames):
+    """The one rule for which DPMD sample frames a network of config can read:
+    their dtype must hold its window length, image size and every camera."""
+    if frames.shape[-1] != config.seq_len:
+        raise ValueError(f"samples hold {frames.shape[-1]}-frame windows, network expects "
+                         f"{config.seq_len}")
+    n_stored, rows, cols = frames.dtype["images"].shape
+    if (rows, cols) != (config.image_rows, config.image_cols):
+        raise ValueError(f"sample images are {rows}x{cols}, network expects "
+                         f"{config.image_rows}x{config.image_cols}")
+    for cam in config.cameras:
+        if cam not in CAMERA_ORDER[:n_stored]:
+            raise ValueError(f"samples lack camera {cam!r}, which the network reads")
+
+
 def inputs_from_samples(config, samples):
     """Each branch's core input from DPMD sample records, in _branches order.
 
@@ -526,21 +540,14 @@ def inputs_from_samples(config, samples):
     frames = np.asarray(samples)["frames"]
     if not len(frames):
         raise ValueError("empty sample batch")
+    check_samples(config, frames)
     batch, length = frames.shape
-    if length != config.seq_len:
-        raise ValueError(f"sample has {length} frames, network expects {config.seq_len}")
-    n_stored, rows, cols = frames.dtype["images"].shape
-    if (rows, cols) != (config.image_rows, config.image_cols):
-        raise ValueError(f"sample images are {rows}x{cols}, network expects "
-                         f"{config.image_rows}x{config.image_cols}")
-    stored = CAMERA_ORDER[:n_stored]
+    rows, cols = config.image_rows, config.image_cols
     a = config.conv_kernels[0] // 2
     inputs = []
     for cam in config.cameras:
-        if cam not in stored:
-            raise ValueError(f"sample is missing camera {cam!r} required by the network config")
         xp = np.zeros((1, length, batch, rows + 2 * a, cols + 2 * a))
-        np.divide(frames["images"][:, :, stored.index(cam)].transpose(1, 0, 2, 3), 255.0,
+        np.divide(frames["images"][:, :, CAMERA_ORDER.index(cam)].transpose(1, 0, 2, 3), 255.0,
                   out=xp[0, :, :, a : a + rows, a : a + cols])
         inputs.append(xp)
     if config.has_state_branch:

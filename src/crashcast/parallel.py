@@ -1,16 +1,15 @@
-"""The package's worker pools and its one BLAS thread pin.
+"""How the package's work meets the cores: the one home of that policy.
 
-fork_map runs a function over tasks in forked worker processes, which
-inherit the function (a closure is fine) and the parent's memory; only the
-tasks and the results are pickled. thread_map runs numpy work that releases
-the interpreter lock on one thread per core, in this process.
-one_blas_thread pins OpenBLAS to one thread for a block: workers forked
-inside it inherit the pin, so a pool of one worker per core runs one BLAS
-thread per core, and since the thread count changes the low bits of some
-GEMM results, results computed inside the pin do not depend on the worker
-count or on the inherited BLAS setting. thread_map always runs inside the
-pin, and serially when its caller already holds it, so inside a pool of
-one worker per core it starts no threads.
+Every command uses every core of its CPU affinity (cores()). fork_map runs
+a function over tasks in one forked worker per core, or at most jobs; the
+workers inherit the function (a closure is fine) and the parent's memory,
+and only tasks and results are pickled. thread_map runs numpy work that
+releases the interpreter lock on one thread per core, in this process.
+Both run their work inside one_blas_thread, which pins OpenBLAS to one
+thread: forked workers inherit the pin, and since the thread count changes
+the low bits of some GEMM results, results do not depend on the worker
+count or on the inherited BLAS setting. Inside a pinned block thread_map
+runs serially, so a pool of one worker per core starts no threads.
 """
 
 import ctypes
@@ -19,6 +18,8 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
+
+import numpy  # noqa: F401  maps OpenBLAS before openblas_threads looks for it
 
 _FORK_FN = None  # the function fork_map's workers run, inherited through fork
 # Whether this process is inside a one_blas_thread block. The BLAS thread
@@ -31,37 +32,44 @@ def _fork_call(task):
     return _FORK_FN(task)
 
 
-def fork_map(fn, tasks, jobs):
-    """[fn(t) for t in tasks], in min(jobs, len(tasks)) forked worker processes if over 1.
+def cores():
+    """The number of cores in this process's CPU affinity."""
+    return len(os.sched_getaffinity(0))
+
+
+def fork_map(fn, tasks, jobs=None):
+    """[fn(t) for t in tasks] inside one_blas_thread, in min(jobs or cores(),
+    len(tasks)) forked worker processes if over 1.
 
     The workers inherit fn through fork, so it may be a closure; only the
     tasks and the results are pickled. Results keep the order of the tasks.
     """
-    jobs = min(jobs, len(tasks))  # a pool starts all its workers at once, idle or not
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
     global _FORK_FN
-    _FORK_FN = fn
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            return list(pool.map(_fork_call, tasks))
-    finally:
-        _FORK_FN = None
+    workers = min(jobs or cores(), len(tasks))  # a pool starts every worker, idle or not
+    with one_blas_thread():
+        if workers <= 1:
+            return [fn(t) for t in tasks]
+        _FORK_FN = fn
+        try:
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                return list(pool.map(_fork_call, tasks))
+        finally:
+            _FORK_FN = None
 
 
 def thread_map(fn, items):
-    """[fn(x) for x in items] on min(len(items), cores of the CPU affinity) threads.
+    """[fn(x) for x in items] on min(len(items), cores()) threads.
 
     The threads run inside one_blas_thread, so fn's GEMMs take one BLAS
     thread each. They are made for this call and joined before it returns,
     so fork_map never forks a process that still has them. Inside a block
-    that was already pinned (a run_kfold or run_sfp worker, one per core)
-    the items run serially in the calling thread. Results keep the order of
-    the items.
+    that was already pinned (a fork_map task, whose workers hold one core
+    each) the items run serially in the calling thread. Results keep the
+    order of the items.
     """
     items = list(items)
-    threads = 1 if _pinned else min(len(items), len(os.sched_getaffinity(0)))
+    threads = 1 if _pinned else min(len(items), cores())
     with one_blas_thread():
         if threads <= 1:
             return [fn(x) for x in items]
@@ -73,9 +81,10 @@ def thread_map(fn, items):
 def openblas_threads():
     """(get, set) of the thread count of the loaded OpenBLAS, or None.
 
-    Found once per process through its own memory map; None where that map
-    is unreadable or the loaded BLAS is not OpenBLAS. numpy's bundled copy
-    exports scipy_openblas_*64_ names, a system OpenBLAS the plain ones.
+    Found once per process through its own memory map, which holds numpy's
+    BLAS since this module imports numpy; None where that map is unreadable
+    or the loaded BLAS is not OpenBLAS. numpy's bundled copy exports
+    scipy_openblas_*64_ names, a system OpenBLAS the plain ones.
     """
     try:
         with open("/proc/self/maps") as fh:

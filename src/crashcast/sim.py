@@ -89,10 +89,13 @@ class CameraSpec:
             raise ValueError("camera resolution must be positive")
 
 
+DASHCAM_MOUNT = (0.5, 0.0, 1.2)  # also the camera position of every frame's state
+
+
 def default_cameras(rows=32, cols=32):
     return (
         CameraSpec("left_mirror", (-0.9, 0.7, 1.0), -math.pi / 4, rows=rows, cols=cols),
-        CameraSpec("dashcam", (0.5, 0.0, 1.2), 0.0, rows=rows, cols=cols),
+        CameraSpec("dashcam", DASHCAM_MOUNT, 0.0, rows=rows, cols=cols),
         CameraSpec("right_mirror", (-0.9, -0.7, 1.0), math.pi / 4, rows=rows, cols=cols),
     )
 

@@ -10,10 +10,8 @@ holds a NaN or an infinity.
 run_kfold takes its folds as one array, which fold_assignment builds from
 each sample's group (its episode, or itself). The fold fits are
 independent; parallel.fork_map runs them in forked processes that inherit
-the fit closure. Each fold fit runs with OpenBLAS pinned to one thread, and
-inside that pin the network runs a batch's blocks one after another (each
-worker holds one core), so fold results do not depend on the worker count
-or on the inherited BLAS thread setting.
+the fit closure, under the core policy of parallel.py, so fold results do
+not depend on the worker count or on the inherited BLAS thread setting.
 """
 
 import math
@@ -24,7 +22,7 @@ import numpy as np
 
 from .dropout import mix64, sample_masks
 from .network import dpm_forward_batch, dpm_gradients, init_params, sample_losses
-from .parallel import fork_map, one_blas_thread
+from .parallel import fork_map
 from .stats import ConfusionCounts
 
 
@@ -208,12 +206,13 @@ def fold_assignment(groups, k, rng_seed=0):
 
 
 def run_kfold(samples, folds, net_config, config, dropout_spec=None, val_fraction=0.1,
-              threshold=0.5, rng_seed=0, jobs=1):
+              threshold=0.5, rng_seed=0, jobs=None):
     """Hold out each fold of the fold array in turn; returns each fold's test
     ConfusionCounts, in fold order.
 
     Each fit trains on the other folds less a val_fraction share (at least
-    one sample) that validates it, and scores its fold at threshold.
+    one sample) that validates it, and scores its fold at threshold. jobs
+    caps the fork_map workers.
     """
     k = int(folds.max()) + 1
     if k < 2:
@@ -230,5 +229,4 @@ def run_kfold(samples, folds, net_config, config, dropout_spec=None, val_fractio
                                  rng_seed=mix64(rng_seed, 100 + fold))
         return evaluate(trained, net_config, samples[test_idx], threshold)
 
-    with one_blas_thread():
-        return fork_map(fit, range(k), jobs)
+    return fork_map(fit, range(k), jobs)

@@ -39,10 +39,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from crashcast.data import DASHCAM_MOUNT, frame_dtype
+from crashcast.data import frame_dtype
 from crashcast.network import _channels_last, _kernel_pad, _layer, _layer_forward, _repad, sigmoid
 from crashcast.sim import (
     CAMERA_ORDER,
+    DASHCAM_MOUNT,
     FRAME_DTYPE,
     VehicleState,
     WorldConfig,

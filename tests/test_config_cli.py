@@ -2,6 +2,8 @@
 
 import os
 import resource
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -457,6 +459,30 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and str(conf) in err, err
     assert list(tmp_path.iterdir()) == [conf]
+
+
+# gen-data under a 3 GB address-space limit, with images too large to allocate
+_OOM_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from crashcast.cli import main
+sys.exit(main(["gen-data", "--jobs", sys.argv[1], "--out", sys.argv[2],
+               "--set", "sim.image_size=20000", "--set", "sim.episodes_per_scenario=1"]))
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_out_of_memory_exits_2_without_a_traceback(tmp_path, jobs):
+    """An allocation the machine cannot satisfy, in this process or in a forked
+    worker, ends in one error line and exit code 2."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _OOM_CHILD, jobs, str(tmp_path / "x.dpmd")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate"), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.dpmd").exists()
 
 
 @pytest.mark.parametrize("argv", [

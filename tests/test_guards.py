@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from crashcast.checkpoint import load_checkpoint
 from crashcast.cli import main
+from crashcast.data import deserialize_dataset
 from crashcast.network import dpm_forward_batch, init_params, inputs_from_samples
 
 from test_network import make_samples, tiny_config
@@ -67,3 +69,39 @@ def test_cli_rejects_model_dataset_dimension_mismatch(tmp_path, capsys):
                  *GEN8, *NET_SMALL)
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def fitted_model(tmp_path_factory):
+    """A model trained on 5-frame windows of three 8x8 cameras."""
+    tmp = tmp_path_factory.mktemp("fitted")
+    data, model = tmp / "d.dpmd", tmp / "m.dpmw"
+    assert run_cli("gen-data", "--seed", "1", "--out", str(data), *GEN8) == 0
+    assert run_cli("train", "--data", str(data), "--out", str(model), *GEN8, *NET_SMALL) == 0
+    return model
+
+
+@pytest.mark.parametrize("mismatch, message", [
+    (["--set", "data.seq_len=4"], "samples hold 4-frame windows, network expects 5"),
+    (["--set", "sim.image_size=6"], "sample images are 6x6, network expects 8x8"),
+    (["--set", "sim.cameras=left_mirror", "--set", "net.cameras=left_mirror"],
+     "samples lack camera 'dashcam', which the network reads"),
+])
+def test_network_and_cli_refuse_a_mismatch_with_one_message(fitted_model, tmp_path, capsys,
+                                                           mismatch, message):
+    """The network's forward, eval and train refuse a dataset the network cannot
+    read through one rule, with the same message."""
+    data = tmp_path / "other.dpmd"
+    assert run_cli("gen-data", "--seed", "2", "--out", str(data), *GEN8, *mismatch) == 0
+    config, params = load_checkpoint(fitted_model)
+    samples = deserialize_dataset(data).samples
+    with pytest.raises(ValueError) as err:
+        dpm_forward_batch(params, config, samples[:2])
+    assert str(err.value) == message
+    capsys.readouterr()
+    assert run_cli("eval", "--data", str(data), "--model", str(fitted_model)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "m.dpmw"),
+                   *GEN8, *NET_SMALL) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.dpmw").exists()

@@ -7,9 +7,11 @@ import threading
 
 import pytest
 
-from crashcast import parallel
+import numpy as np
 
-from test_config_cli import run_cli
+from crashcast import cli, parallel
+
+from test_config_cli import FAST_GEN, TRAIN_FAST, run_cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -36,6 +38,20 @@ def fake_blas(monkeypatch):
         monkeypatch.setattr(parallel, "openblas_threads", lambda: (blas.get, blas.set))
         return blas
     return install
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool fork_map makes while the test runs."""
+    sizes = []
+
+    class Recording(parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+    return sizes
 
 
 def test_nested_pin_and_pinned_thread_map_set_nothing(fake_blas):
@@ -67,6 +83,22 @@ def test_pin_restores_on_error(fake_blas):
 
 def test_openblas_lookup_is_resolved_once():
     assert parallel.openblas_threads() is parallel.openblas_threads()
+
+
+def test_openblas_lookup_before_numpy_import_finds_it():
+    """A process whose first lookup comes before it imports numpy itself still
+    finds OpenBLAS, then and after the import, since the lookup is cached."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip("numpy does not link OpenBLAS")
+    code = ("from crashcast import parallel\n"
+            "first = parallel.openblas_threads()\n"
+            "import numpy\n"
+            "print(first is not None, parallel.openblas_threads() is not None)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_thread_map_keeps_order_and_joins_its_threads(fake_blas):
@@ -153,3 +185,71 @@ def test_train_and_eval_bytes_do_not_depend_on_threads_or_cores(tmp_path, capsys
     for run in runs[1:]:
         for name in _OUTPUTS:
             assert run[name] == runs[0][name], name
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fork_map_tasks_run_on_one_blas_thread(fake_blas, tmp_path, monkeypatch, capsys, jobs):
+    """Every fork_map task, gen-data's included, runs at one BLAS thread, in this
+    process and in forked workers, and the caller's count comes back, also
+    after a task fails."""
+    blas = fake_blas(2)
+    assert parallel.fork_map(lambda _t: blas.count, range(4), jobs) == [1] * 4
+    assert blas.count == 2
+    log = tmp_path / "threads.log"
+    real_episode = cli._gen_episode
+
+    def logging_episode(*args):
+        with open(log, "a") as fh:  # forked workers append here too
+            fh.write(f"{blas.count}\n")
+        return real_episode(*args)
+
+    monkeypatch.setattr(cli, "_gen_episode", logging_episode)
+    assert run_cli("gen-data", "--seed", "3", "--jobs", str(jobs),
+                   "--out", str(tmp_path / "d.dpmd"), *FAST_GEN) == 0
+    capsys.readouterr()
+    assert log.read_text().split() == ["1"] * 8  # 4 scenarios x 2 episodes
+    assert blas.count == 2
+
+    def failing(task):
+        raise RuntimeError(f"task {task}")
+
+    with pytest.raises(RuntimeError, match="task 0"):
+        parallel.fork_map(failing, range(3), jobs)
+    assert blas.count == 2 and not parallel._pinned
+    assert blas.sets == [1, 2] * 3
+
+
+def _outputs(directory, names):
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+def test_gen_data_and_experiment_fork_one_worker_per_core_by_default(tmp_path, capsys,
+                                                                      pool_sizes):
+    """With no --jobs, gen-data and experiment size each pool to min(cores, tasks),
+    and their outputs equal the outputs at --jobs 1."""
+    def workers(tasks):
+        n = min(parallel.cores(), tasks)
+        return [n] if n > 1 else []  # one worker runs in this process
+
+    gen = ("d.dpmd", "d.dpmd.meta.csv", "d.dpmd.gen.csv")
+    exp = ("folds.csv", "summary.csv", "anova.csv")
+    runs = []
+    for jobs in ([], ["--jobs", "1"]):
+        out = tmp_path / f"run{len(runs)}"
+        out.mkdir()
+        del pool_sizes[:]
+        assert run_cli("gen-data", "--seed", "9", *jobs, "--out", str(out / "d.dpmd"),
+                       *FAST_GEN) == 0
+        gen_pools = list(pool_sizes)
+        assert run_cli("experiment", "--data", str(out / "d.dpmd"), "--sweep", "camera",
+                       "--seed", "12", *jobs, "--out", str(out), *TRAIN_FAST,
+                       "--set", "eval.fold_k=2", "--set", "train.max_iterations=4",
+                       "--set", "train.validation_interval=2") == 0
+        runs.append((gen_pools, pool_sizes[len(gen_pools):],
+                     _outputs(out, gen + exp)))
+    capsys.readouterr()
+    (gen_default, exp_default, default), (gen_one, exp_one, one) = runs
+    assert gen_default == workers(8)  # 4 scenarios x 2 episodes
+    assert exp_default == workers(2) * 4  # one pool of 2 folds per camera group
+    assert gen_one == exp_one == []
+    assert default == one

@@ -24,6 +24,7 @@ from crashcast.training import (
 
 from test_config_cli import FAST_GEN, TRAIN_FAST, run_cli
 from test_network import make_samples, tiny_config
+from test_parallel import pool_sizes  # noqa: F401  (a fixture)
 
 
 def test_cross_entropy_closed_forms():
@@ -206,15 +207,8 @@ def test_fork_map_runs_closures_in_task_order():
     assert os.getpid() not in {pid for _, pid in par}
 
 
-def test_fork_map_forks_no_more_workers_than_tasks(monkeypatch):
-    sizes = []
-
-    class Recording(parallel.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+def test_fork_map_forks_no_more_workers_than_tasks(pool_sizes):
+    sizes = pool_sizes
 
     def pid(_task):
         return os.getpid()
@@ -224,6 +218,8 @@ def test_fork_map_forks_no_more_workers_than_tasks(monkeypatch):
     assert sizes == []  # a single task runs in this process
     assert os.getpid() not in parallel.fork_map(pid, range(2), 4)
     assert parallel.fork_map(pid, range(5), 3) and sizes == [2, 3]
+    workers = min(parallel.cores(), 5)  # with no cap, one worker per core
+    assert parallel.fork_map(pid, range(5)) and sizes[2:] == ([workers] if workers > 1 else [])
 
 
 def test_full_batch_sgd_loss_non_increasing_on_smooth_start():
